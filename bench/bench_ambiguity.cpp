@@ -16,8 +16,7 @@
 // (a 12-ring host region probed with a 6-ring pattern) that are invisible
 // to the degree-signature check but statically refuted by the path-label
 // layer — the decoy A/B the analyzer exists for. --quick trims the sweep
-// for the gate; --core selects the matching-core layout (rows are identical
-// in both, which the gate checks by running each).
+// for the gate.
 #include <cstdio>
 #include <iostream>
 #include <vector>
@@ -29,7 +28,6 @@ namespace {
 
 struct SweepConfig {
   bool quick = false;
-  CoreMode core = CoreMode::kCsr;
 };
 
 Netlist parallel_pattern(const std::shared_ptr<const DeviceCatalog>& cat,
@@ -67,14 +65,13 @@ void add_ring(Netlist& nl, DeviceTypeId nmos, int n, const std::string& prefix,
 /// signature, signature over census).
 void run_trio(const std::string& circuit, const Netlist& host,
               const std::string& cell, const Netlist& pattern,
-              std::size_t expected, const SweepConfig& cfg,
-              std::vector<MatchRow>* rows) {
+              std::size_t expected, std::vector<MatchRow>* rows) {
   rows->push_back(run_match(circuit, host, cell, pattern, expected, 1,
-                            cfg.core, Phase2Filter::kPaths));
+                            Phase2Filter::kPaths));
   rows->push_back(run_match(circuit + "+sigonly", host, cell, pattern,
-                            expected, 1, cfg.core, Phase2Filter::kOn));
+                            expected, 1, Phase2Filter::kOn));
   rows->push_back(run_match(circuit + "+nofilter", host, cell, pattern,
-                            expected, 1, cfg.core, Phase2Filter::kOff));
+                            expected, 1, Phase2Filter::kOff));
 }
 
 std::vector<MatchRow> sweep_parallel(const SweepConfig& cfg) {
@@ -96,7 +93,7 @@ std::vector<MatchRow> sweep_parallel(const SweepConfig& cfg) {
       }
       Netlist pattern = parallel_pattern(cat, k);
       run_trio("groups" + std::to_string(groups), host, pattern.name(),
-               pattern, static_cast<std::size_t>(groups), cfg, &rows);
+               pattern, static_cast<std::size_t>(groups), &rows);
     }
   }
   return rows;
@@ -124,7 +121,7 @@ std::vector<MatchRow> sweep_fat_rings(const SweepConfig& cfg) {
       add_ring(pattern, nmos, k, "r", false);
       pattern.mark_port(*pattern.find_net("rgate"));
       run_trio("decoys" + std::to_string(decoys), host, pattern.name(),
-               pattern, static_cast<std::size_t>(groups), cfg, &rows);
+               pattern, static_cast<std::size_t>(groups), &rows);
     }
   }
   return rows;
@@ -155,7 +152,7 @@ std::vector<MatchRow> sweep_long_ring_decoys(const SweepConfig& cfg) {
     add_ring(pattern, nmos, k, "r", false);
     pattern.mark_port(*pattern.find_net("rgate"));
     run_trio("longdecoys" + std::to_string(decoys), host, pattern.name(),
-             pattern, static_cast<std::size_t>(groups), cfg, &rows);
+             pattern, static_cast<std::size_t>(groups), &rows);
   }
   return rows;
 }
@@ -211,7 +208,7 @@ int main(int argc, char** argv) {
   subg::cli::Format format = subg::cli::Format::kText;
   SweepConfig cfg;
   if (int code = parse_bench_args("bench_ambiguity", argc, argv, &format,
-                                  &cfg.core, &cfg.quick)) {
+                                  &cfg.quick)) {
     return code;
   }
 
@@ -224,7 +221,6 @@ int main(int argc, char** argv) {
 
   if (format == subg::cli::Format::kJson) {
     subg::report::Document doc("bench_ambiguity", "E3");
-    doc.set("core", subg::to_string(cfg.core));
     doc.set("quick", cfg.quick);
     doc.set("parallel", subg::report::to_json(ambiguity_table(parallel_rows)));
     doc.set("fat_rings", subg::report::to_json(ambiguity_table(ring_rows)));

@@ -37,8 +37,8 @@ struct MatchRow {
   /// How the sweep ended; anything but kComplete means `found` is a lower
   /// bound and the timing row is not comparable to a complete run.
   RunOutcome outcome = RunOutcome::kComplete;
-  // Deterministic work counters (identical across --jobs and --core, and
-  // across machines): these are what the CI baseline gate compares exactly,
+  // Deterministic work counters (identical across --jobs and across
+  // machines): these are what the CI baseline gate compares exactly,
   // while timings stay advisory.
   std::size_t rounds = 0;             ///< Phase I relabeling rounds
   std::uint64_t relabel_ops = 0;      ///< Phase I pattern-side contributions
@@ -79,14 +79,12 @@ inline MatchRow run_match_in_session(const std::string& circuit_name,
                                      const Netlist& pattern,
                                      std::size_t expected,
                                      std::size_t jobs = 1,
-                                     CoreMode core = CoreMode::kCsr,
                                      Phase2Filter phase2_filter =
                                          Phase2Filter::kPaths,
                                      MatchReport* report_out = nullptr) {
   const Netlist& host = session.netlist();
   MatchOptions opts;
   opts.jobs = jobs;
-  opts.core = core;
   opts.phase2_filter = phase2_filter;
   obs::Metrics metrics;
   opts.metrics = &metrics;
@@ -133,13 +131,10 @@ inline MatchRow run_match_in_session(const std::string& circuit_name,
 inline MatchRow run_match(const std::string& circuit_name, const Netlist& host,
                           const std::string& cell_name, const Netlist& pattern,
                           std::size_t expected, std::size_t jobs = 1,
-                          CoreMode core = CoreMode::kCsr,
                           Phase2Filter phase2_filter = Phase2Filter::kPaths) {
-  SessionOptions so;
-  so.core = core;
-  HostSession session = HostSession::build(host, so);
+  HostSession session = HostSession::build(host);
   return run_match_in_session(circuit_name, session, cell_name, pattern,
-                              expected, jobs, core, phase2_filter);
+                              expected, jobs, phase2_filter);
 }
 
 /// The deterministic per-row counters as a json array — the payload the CI
@@ -310,18 +305,17 @@ inline void print_rows(const std::vector<MatchRow>& rows) {
 }
 
 /// The quick-mode json document every baseline-gated bench emits — tool +
-/// experiment header, core/quick echo, the rendered match table, the gated
+/// experiment header, quick echo, the rendered match table, the gated
 /// counters array, and the advisory timings, in that order. The `before` /
 /// `after` hooks splice bench-specific members in at their historical
 /// positions (between any_incomplete and counters, and after timings), so
 /// hoisting the emitter changed no bench's field order.
 inline void write_quick_doc(
-    const char* tool, const char* experiment, CoreMode core, bool quick,
+    const char* tool, const char* experiment, bool quick,
     const std::vector<MatchRow>& rows, json::Value counters,
     const std::function<void(report::Document&)>& before = {},
     const std::function<void(report::Document&)>& after = {}) {
   report::Document doc(tool, experiment);
-  doc.set("core", to_string(core));
   doc.set("quick", quick);
   bool any_incomplete = false;
   doc.set("table", report::to_json(make_match_table(rows, &any_incomplete)));
@@ -336,26 +330,22 @@ inline void write_quick_doc(
 /// Shared argv handling for the bench mains: global flags only, no
 /// positionals, and only --format applies everywhere (benches fix their own
 /// workloads and lane counts so rows stay comparable). The baseline-gated
-/// benches additionally accept --core=csr|legacy (via `core`) and --quick
-/// (via `quick`): quick mode runs reduced deterministic workloads with one
-/// rep and no scaling sweeps, for the CI bench-regression gate. Returns the
-/// format via `format`; a non-zero return is the process exit code.
+/// benches additionally accept --quick (via `quick`): quick mode runs
+/// reduced deterministic workloads with one rep and no scaling sweeps, for
+/// the CI bench-regression gate. Returns the format via `format`; a
+/// non-zero return is the process exit code.
 inline int parse_bench_args(const char* name, int argc, char** argv,
-                            cli::Format* format, CoreMode* core = nullptr,
-                            bool* quick = nullptr) {
+                            cli::Format* format, bool* quick = nullptr) {
   // --quick is bench-only (not a global flag), so strip it before the
-  // shared parser; remember whether --core appeared so benches without the
-  // out-param still reject it.
+  // shared parser.
   std::vector<std::string> args;
   bool saw_quick = false;
-  bool saw_core = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (quick != nullptr && arg == "--quick") {
       saw_quick = true;
       continue;
     }
-    if (arg.rfind("--core=", 0) == 0) saw_core = true;
     args.push_back(arg);
   }
   cli::ParsedArgs parsed = cli::parse_args(args);
@@ -369,18 +359,12 @@ inline int parse_bench_args(const char* name, int argc, char** argv,
        !parsed.options.top.empty() || !parsed.options.pattern_top.empty())) {
     error = "flag does not apply to benches";
   }
-  if (error.empty() && saw_core && core == nullptr) {
-    error = "--core does not apply to this bench";
-  }
   if (!error.empty()) {
-    const bool gated = core != nullptr;
     std::fprintf(stderr, "%s: %s\nusage: %s [--format=text|json]%s\n", name,
-                 error.c_str(), name,
-                 gated ? " [--core=csr|legacy] [--quick]" : "");
+                 error.c_str(), name, quick != nullptr ? " [--quick]" : "");
     return 64;
   }
   *format = parsed.options.format;
-  if (core != nullptr) *core = parsed.options.core;
   if (quick != nullptr) *quick = saw_quick;
   return 0;
 }

@@ -111,7 +111,6 @@ json::Value eco_counters_json(const std::vector<EcoPair>& pairs) {
       v.set("eco_patched_nets", stats->patched_nets);
       v.set("eco_renames", stats->renames);
       v.set("eco_invalidated_labels", stats->invalidated_labels);
-      v.set("eco_compactions", stats->compactions);
     }
     arr.push(std::move(v));
   };
@@ -137,7 +136,7 @@ bool rows_equivalent(const MatchRow& a, const MatchRow& b) {
          a.nogood_hits == b.nogood_hits && a.trail_undos == b.trail_undos;
 }
 
-void run(cli::Format format, CoreMode core, bool quick) {
+void run(cli::Format format, bool quick) {
   // ~10k devices in the full run (the ISSUE's workload size); the quick
   // gate uses the same generator at a CI-friendly size.
   const std::size_t soup_gates = quick ? 400 : 2200;
@@ -156,29 +155,27 @@ void run(cli::Format format, CoreMode core, bool quick) {
 
     Netlist edited = g.netlist;
     apply_delta(edited, delta);
-    SessionOptions so;
-    so.core = core;
     {
       Timer timer;
-      HostSession cold = HostSession::build(std::move(edited), so);
+      HostSession cold = HostSession::build(std::move(edited));
       pair.cold_build_ms = timer.seconds() * 1e3;
       pair.cold = run_match_in_session(tag + "_cold", cold, "nand2", pattern,
-                                       expected, 1, core);
+                                       expected);
     }
     {
-      HostSession patched = HostSession::build(g.netlist, so);
+      HostSession patched = HostSession::build(g.netlist);
       // Warm the label cache with a find against the base host first: the
       // session is in the steady state the ECO story cares about (loaded,
       // already queried). The rebase then has cached rounds to patch, and
       // the post-patch find reuses them — host_relabel_ops collapses to
       // the dirty cone instead of the whole host.
       (void)run_match_in_session(tag + "_base", patched, "nand2", pattern,
-                                 expected, 1, core);
+                                 expected);
       Timer timer;
       pair.stats = patched.apply(delta);
       pair.patch_ms = timer.seconds() * 1e3;
       pair.patched = run_match_in_session(tag + "_patched", patched, "nand2",
-                                          pattern, expected, 1, core);
+                                          pattern, expected);
     }
     pairs.push_back(std::move(pair));
   }
@@ -193,7 +190,7 @@ void run(cli::Format format, CoreMode core, bool quick) {
 
   if (format == cli::Format::kJson) {
     write_quick_doc(
-        "bench_eco", "E9", core, quick, rows, eco_counters_json(pairs),
+        "bench_eco", "E9", quick, rows, eco_counters_json(pairs),
         [&](report::Document& doc) {
           doc.set("patched_matches_cold", all_equivalent);
         },
@@ -235,12 +232,11 @@ void run(cli::Format format, CoreMode core, bool quick) {
 
 int main(int argc, char** argv) {
   subg::cli::Format format = subg::cli::Format::kText;
-  subg::CoreMode core = subg::CoreMode::kCsr;
   bool quick = false;
   if (int code = subg::bench::parse_bench_args("bench_eco", argc, argv,
-                                               &format, &core, &quick)) {
+                                               &format, &quick)) {
     return code;
   }
-  subg::bench::run(format, core, quick);
+  subg::bench::run(format, quick);
   return 0;
 }

@@ -33,7 +33,6 @@ struct Point {
 /// either way, only the regression quality degrades.
 struct SweepConfig {
   bool quick = false;
-  CoreMode core = CoreMode::kCsr;
 };
 
 std::vector<Point> sweep_adders(cells::CellLibrary& lib,
@@ -52,7 +51,7 @@ std::vector<Point> sweep_adders(cells::CellLibrary& lib,
     MatchRow row;
     for (int rep = 0; rep < reps; ++rep) {
       row = run_match("rca" + std::to_string(bits), g.netlist, "fulladder",
-                      pattern, g.placed_count("fulladder"), 1, cfg.core);
+                      pattern, g.placed_count("fulladder"));
       best_ms = std::min(best_ms, row.phase1_ms + row.phase2_ms);
     }
     pts.push_back(
@@ -77,7 +76,7 @@ std::vector<Point> sweep_sram(cells::CellLibrary& lib, const SweepConfig& cfg,
     MatchRow row;
     for (int rep = 0; rep < reps; ++rep) {
       row = run_match("sram16x" + std::to_string(cols), g.netlist, "sram6t",
-                      pattern, g.placed_count("sram6t"), 1, cfg.core);
+                      pattern, g.placed_count("sram6t"));
       best_ms = std::min(best_ms, row.phase1_ms + row.phase2_ms);
     }
     pts.push_back(
@@ -146,7 +145,7 @@ int main(int argc, char** argv) {
   subg::cli::Format format = subg::cli::Format::kText;
   SweepConfig cfg;
   if (int code = parse_bench_args("bench_linearity", argc, argv, &format,
-                                  &cfg.core, &cfg.quick)) {
+                                  &cfg.quick)) {
     return code;
   }
 
@@ -176,7 +175,6 @@ int main(int argc, char** argv) {
 
   if (format == subg::cli::Format::kJson) {
     subg::report::Document doc("bench_linearity", "E5");
-    doc.set("core", subg::to_string(cfg.core));
     doc.set("quick", cfg.quick);
     subg::json::Value series = subg::json::Value::array();
     series.push(series_json(adders));

@@ -49,21 +49,20 @@ struct ShardRun {
 
 ShardRun run_soc(const std::string& row_name, const Netlist& host,
                  const Netlist& pattern, std::size_t expected,
-                 std::size_t shard_target, std::size_t jobs, CoreMode core) {
+                 std::size_t shard_target, std::size_t jobs) {
   SessionOptions so;
-  so.core = core;
   so.shard_target_devices = shard_target;
   HostSession session = HostSession::build(host, so);
   ShardRun out;
   MatchReport report;
   out.row = run_match_in_session(row_name, session, "nand2", pattern,
-                                 expected, jobs, core, Phase2Filter::kPaths,
+                                 expected, jobs, Phase2Filter::kPaths,
                                  &report);
   out.fingerprint = report_fingerprint(std::move(report));
   return out;
 }
 
-void run(cli::Format format, CoreMode core, bool quick) {
+void run(cli::Format format, bool quick) {
   // The quick workload IS the scale workload: 512*326*6 = 1,001,472 core
   // transistors (+ pads + bus drivers), placed nand2 = 166,912. The full
   // run only adds a per-jobs scaling sweep on top.
@@ -77,13 +76,12 @@ void run(cli::Format format, CoreMode core, bool quick) {
   const std::size_t shard_target = std::size_t{1} << 16;
 
   const ShardRun mono =
-      run_soc("soc_1m", g.netlist, pattern, expected, 0, 1, core);
+      run_soc("soc_1m", g.netlist, pattern, expected, 0, 1);
   const ShardRun sharded =
-      run_soc("soc_1m/shard", g.netlist, pattern, expected, shard_target, 1,
-              core);
+      run_soc("soc_1m/shard", g.netlist, pattern, expected, shard_target, 1);
   const ShardRun sharded_j8 =
-      run_soc("soc_1m/shard/j8", g.netlist, pattern, expected, shard_target, 8,
-              core);
+      run_soc("soc_1m/shard/j8", g.netlist, pattern, expected, shard_target,
+              8);
 
   const bool identical = mono.fingerprint == sharded.fingerprint &&
                          mono.fingerprint == sharded_j8.fingerprint;
@@ -97,7 +95,6 @@ void run(cli::Format format, CoreMode core, bool quick) {
   std::vector<ScalingRow> scaling;
   if (!quick) {
     SessionOptions so;
-    so.core = core;
     so.shard_target_devices = shard_target;
     // jobs_scaling builds its own sessions; run the sweep sharded by hand.
     for (std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{4},
@@ -105,7 +102,6 @@ void run(cli::Format format, CoreMode core, bool quick) {
       HostSession session = HostSession::build(g.netlist, so);
       MatchOptions opts;
       opts.jobs = jobs;
-      opts.core = core;
       ScalingRow srow;
       srow.jobs = jobs;
       Timer timer;
@@ -121,7 +117,7 @@ void run(cli::Format format, CoreMode core, bool quick) {
 
   if (format == cli::Format::kJson) {
     write_quick_doc(
-        "bench_shard", "E10", core, quick, rows, counters_json(rows),
+        "bench_shard", "E10", quick, rows, counters_json(rows),
         [&](report::Document& doc) {
           doc.set("sharded_matches_monolithic", identical);
           doc.set("prefilter_fired", prefilter_fired);
@@ -155,12 +151,11 @@ void run(cli::Format format, CoreMode core, bool quick) {
 
 int main(int argc, char** argv) {
   subg::cli::Format format = subg::cli::Format::kText;
-  subg::CoreMode core = subg::CoreMode::kCsr;
   bool quick = false;
   if (int code = subg::bench::parse_bench_args("bench_shard", argc, argv,
-                                               &format, &core, &quick)) {
+                                               &format, &quick)) {
     return code;
   }
-  subg::bench::run(format, core, quick);
+  subg::bench::run(format, quick);
   return 0;
 }

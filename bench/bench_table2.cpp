@@ -18,7 +18,7 @@
 namespace subg::bench {
 namespace {
 
-void run(cli::Format format, CoreMode core, bool quick) {
+void run(cli::Format format, bool quick) {
   cells::CellLibrary lib;
   std::vector<MatchRow> rows;
 
@@ -26,7 +26,7 @@ void run(cli::Format format, CoreMode core, bool quick) {
                  std::initializer_list<const char*> cell_names) {
     for (const char* cell : cell_names) {
       rows.push_back(run_match(name, g.netlist, cell, lib.pattern(cell),
-                               g.placed_count(cell), 1, core));
+                               g.placed_count(cell)));
     }
   };
 
@@ -72,7 +72,7 @@ void run(cli::Format format, CoreMode core, bool quick) {
   }
 
   if (format == cli::Format::kJson) {
-    write_quick_doc("bench_table2", "E6", core, quick, rows,
+    write_quick_doc("bench_table2", "E6", quick, rows,
                     counters_json(rows), {}, [&](report::Document& doc) {
                       if (quick) return;
                       json::Value scaling = json::Value::array();
@@ -106,12 +106,11 @@ void run(cli::Format format, CoreMode core, bool quick) {
 
 int main(int argc, char** argv) {
   subg::cli::Format format = subg::cli::Format::kText;
-  subg::CoreMode core = subg::CoreMode::kCsr;
   bool quick = false;
   if (int code = subg::bench::parse_bench_args("bench_table2", argc, argv,
-                                               &format, &core, &quick)) {
+                                               &format, &quick)) {
     return code;
   }
-  subg::bench::run(format, core, quick);
+  subg::bench::run(format, quick);
   return 0;
 }

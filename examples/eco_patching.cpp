@@ -41,8 +41,8 @@ mn2 out n1 gnd gnd nmos
 .end
 )";
 
-  // 1. One session owns everything repeated searches share: the flattened
-  //    graph, the csr core, and the Phase I label cache.
+  // 1. One session owns everything repeated searches share: the circuit
+  //    graph, the Phase I label cache, and the host path labels.
   HostSession session = HostSession::build(spice::read_flat(deck));
   std::printf("host: %zu devices, %zu nets\n",
               session.netlist().device_count(), session.netlist().net_count());

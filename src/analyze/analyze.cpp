@@ -7,7 +7,6 @@
 #include <set>
 #include <utility>
 
-#include "graph/csr_core.hpp"
 #include "util/check.hpp"
 
 namespace subg::analyze {
@@ -97,15 +96,19 @@ class AutomorphismSearch {
   /// Partial consistency: every already-mapped neighbor of v must be a
   /// neighbor of w with the same per-coefficient multiplicity.
   [[nodiscard]] bool edges_consistent(Vertex v, Vertex w) const {
-    for (const auto& ev : g_.edges(v)) {
-      if (perm_[ev.to] == kUnassigned) continue;
+    const auto v_to = g_.neighbors(v);
+    const auto v_coeff = g_.coefficients(v);
+    const auto w_to = g_.neighbors(w);
+    const auto w_coeff = g_.coefficients(w);
+    for (std::size_t i = 0; i < v_to.size(); ++i) {
+      if (perm_[v_to[i]] == kUnassigned) continue;
       std::size_t want = 0;
-      for (const auto& e2 : g_.edges(v)) {
-        if (e2.to == ev.to && e2.coefficient == ev.coefficient) ++want;
+      for (std::size_t k = 0; k < v_to.size(); ++k) {
+        if (v_to[k] == v_to[i] && v_coeff[k] == v_coeff[i]) ++want;
       }
       std::size_t have = 0;
-      for (const auto& ew : g_.edges(w)) {
-        if (ew.to == perm_[ev.to] && ew.coefficient == ev.coefficient) ++have;
+      for (std::size_t k = 0; k < w_to.size(); ++k) {
+        if (w_to[k] == perm_[v_to[i]] && w_coeff[k] == v_coeff[i]) ++have;
       }
       if (want != have) return false;
     }
@@ -120,11 +123,15 @@ class AutomorphismSearch {
     for (Vertex v = 0; v < g_.vertex_count(); ++v) {
       a.clear();
       b.clear();
-      for (const auto& e : g_.edges(v)) {
-        a.emplace_back(perm_[e.to], e.coefficient);
+      const auto v_to = g_.neighbors(v);
+      const auto v_coeff = g_.coefficients(v);
+      for (std::size_t k = 0; k < v_to.size(); ++k) {
+        a.emplace_back(perm_[v_to[k]], v_coeff[k]);
       }
-      for (const auto& e : g_.edges(perm_[v])) {
-        b.emplace_back(e.to, e.coefficient);
+      const auto w_to = g_.neighbors(perm_[v]);
+      const auto w_coeff = g_.coefficients(perm_[v]);
+      for (std::size_t k = 0; k < w_to.size(); ++k) {
+        b.emplace_back(w_to[k], w_coeff[k]);
       }
       std::sort(a.begin(), a.end());
       std::sort(b.begin(), b.end());
@@ -181,36 +188,7 @@ class AutomorphismSearch {
 
 // --- path-label DP ---------------------------------------------------------
 
-/// Adjacency access shared by the CircuitGraph and CsrCore builders: both
-/// expose the same vertices, degrees, special flags, and neighbor multisets,
-/// so the resulting counts are bit-identical across cores.
-struct GraphAdjacency {
-  const CircuitGraph& g;
-  [[nodiscard]] std::size_t vertex_count() const { return g.vertex_count(); }
-  [[nodiscard]] std::size_t degree(Vertex v) const { return g.degree(v); }
-  [[nodiscard]] bool is_special(Vertex v) const { return g.is_special(v); }
-  template <typename F>
-  void for_each_neighbor(Vertex v, F&& f) const {
-    for (const auto& e : g.edges(v)) f(e.to);
-  }
-};
-
-struct CoreAdjacency {
-  const CsrCore& core;
-  std::size_t vertexes;
-  [[nodiscard]] std::size_t vertex_count() const { return vertexes; }
-  [[nodiscard]] std::size_t degree(Vertex v) const {
-    return core.degree(v);
-  }
-  [[nodiscard]] bool is_special(Vertex v) const { return core.is_special(v); }
-  template <typename F>
-  void for_each_neighbor(Vertex v, F&& f) const {
-    for (const Vertex to : core.neighbors(v)) f(to);
-  }
-};
-
-template <typename Adjacency>
-void count_closed_walks(const Adjacency& adj, const Netlist& netlist,
+void count_closed_walks(const CircuitGraph& g, const Netlist& netlist,
                         std::size_t device_count, Side side,
                         const AnalyzeOptions& options, Vertex anchor,
                         std::uint64_t* out_counts,
@@ -220,13 +198,13 @@ void count_closed_walks(const Adjacency& adj, const Netlist& netlist,
                         std::vector<Vertex>& next_frontier) {
   const std::size_t classes = PathLabels::kTrackedDegrees.size();
   const auto net_allowed = [&](Vertex v, std::uint32_t d) {
-    if (adj.degree(v) != d) return false;
+    if (g.degree(v) != d) return false;
     if (side == Side::kPattern) {
       // Pattern walks stay on internal non-global nets: their host images
       // are induced (exact degree), so the injection into host walks of the
       // same class is guaranteed. Host walks impose no such restriction —
       // the host count must upper-bound every possible image.
-      if (adj.is_special(v)) return false;
+      if (g.is_special(v)) return false;
       if (netlist.is_port(NetId(static_cast<std::uint32_t>(
               v - device_count)))) {
         return false;
@@ -249,11 +227,11 @@ void count_closed_walks(const Adjacency& adj, const Netlist& netlist,
       next_frontier.clear();
       for (const Vertex v : frontier) {
         const std::uint64_t val = cur[v];
-        adj.for_each_neighbor(v, [&](Vertex w) {
-          if (w >= device_count && !net_allowed(w, d)) return;
+        for (const Vertex w : g.neighbors(v)) {
+          if (w >= device_count && !net_allowed(w, d)) continue;
           if (nxt[w] == 0) next_frontier.push_back(w);
           nxt[w] = sat_add(nxt[w], val);
-        });
+        }
       }
       for (const Vertex v : frontier) cur[v] = 0;
       cur.swap(nxt);
@@ -262,29 +240,6 @@ void count_closed_walks(const Adjacency& adj, const Netlist& netlist,
     out_counts[c] = cur[anchor];
     for (const Vertex v : frontier) cur[v] = 0;
   }
-}
-
-template <typename Adjacency>
-PathLabels build_labels(const Adjacency& adj, const Netlist& netlist,
-                        Side side, const AnalyzeOptions& options) {
-  SUBG_CHECK_MSG(options.walk_steps % 2 == 0,
-                 "path-label walk length must be even (bipartite closure)");
-  const std::size_t n = adj.vertex_count();
-  const std::size_t classes = PathLabels::kTrackedDegrees.size();
-  PathLabels out;
-  out.walk_steps = options.walk_steps;
-  out.vertex_count = n;
-  out.counts.assign(n * classes, 0);
-  std::vector<std::uint64_t> cur(n, 0);
-  std::vector<std::uint64_t> nxt(n, 0);
-  std::vector<Vertex> frontier;
-  std::vector<Vertex> next_frontier;
-  for (Vertex v = 0; v < n; ++v) {
-    count_closed_walks(adj, netlist, netlist.device_count(), side, options, v,
-                       out.counts.data() + v * classes, cur, nxt, frontier,
-                       next_frontier);
-  }
-  return out;
 }
 
 }  // namespace
@@ -318,15 +273,26 @@ Orbits find_orbits(const CircuitGraph& g, const Netlist& netlist,
 
 PathLabels build_path_labels(const CircuitGraph& g, const Netlist& netlist,
                              Side side, const AnalyzeOptions& options) {
-  return build_labels(GraphAdjacency{g}, netlist, side, options);
+  SUBG_CHECK_MSG(options.walk_steps % 2 == 0,
+                 "path-label walk length must be even (bipartite closure)");
+  const std::size_t n = g.vertex_count();
+  const std::size_t classes = PathLabels::kTrackedDegrees.size();
+  PathLabels out;
+  out.walk_steps = options.walk_steps;
+  out.vertex_count = n;
+  out.counts.assign(n * classes, 0);
+  std::vector<std::uint64_t> cur(n, 0);
+  std::vector<std::uint64_t> nxt(n, 0);
+  std::vector<Vertex> frontier;
+  std::vector<Vertex> next_frontier;
+  for (Vertex v = 0; v < n; ++v) {
+    count_closed_walks(g, netlist, netlist.device_count(), side, options, v,
+                       out.counts.data() + v * classes, cur, nxt, frontier,
+                       next_frontier);
+  }
+  return out;
 }
 
-PathLabels build_path_labels(const CsrCore& core, const Netlist& netlist,
-                             Side side, const AnalyzeOptions& options) {
-  return build_labels(
-      CoreAdjacency{core, core.graph().vertex_count()}, netlist, side,
-      options);
-}
 
 PathLabels rebase_path_labels(const PathLabels& old_labels,
                               const CircuitGraph& new_graph,
@@ -364,10 +330,10 @@ PathLabels rebase_path_labels(const PathLabels& old_labels,
        ++hop) {
     next.clear();
     for (const Vertex v : frontier) {
-      for (const auto& e : new_graph.edges(v)) {
-        if (!dirty[e.to]) {
-          dirty[e.to] = true;
-          next.push_back(e.to);
+      for (const Vertex to : new_graph.neighbors(v)) {
+        if (!dirty[to]) {
+          dirty[to] = true;
+          next.push_back(to);
         }
       }
     }
@@ -378,7 +344,6 @@ PathLabels rebase_path_labels(const PathLabels& old_labels,
   std::vector<std::uint64_t> nxt(n, 0);
   std::vector<Vertex> walk_frontier;
   std::vector<Vertex> walk_next;
-  const GraphAdjacency adj{new_graph};
   for (Vertex v = 0; v < n; ++v) {
     if (!dirty[v]) {
       const Vertex old = new_to_old[v];
@@ -387,7 +352,7 @@ PathLabels rebase_path_labels(const PathLabels& old_labels,
       }
       continue;
     }
-    count_closed_walks(adj, netlist, netlist.device_count(), Side::kHost,
+    count_closed_walks(new_graph, netlist, netlist.device_count(), Side::kHost,
                        options, v, out.counts.data() + v * classes, cur, nxt,
                        walk_frontier, walk_next);
   }

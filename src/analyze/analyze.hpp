@@ -49,10 +49,6 @@
 #include "graph/circuit_graph.hpp"
 #include "netlist/netlist.hpp"
 
-namespace subg {
-class CsrCore;
-}  // namespace subg
-
 namespace subg::analyze {
 
 struct AnalyzeOptions {
@@ -127,12 +123,6 @@ struct PathLabels {
 enum class Side { kPattern, kHost };
 
 [[nodiscard]] PathLabels build_path_labels(const CircuitGraph& g,
-                                           const Netlist& netlist, Side side,
-                                           const AnalyzeOptions& options = {});
-
-/// Same labels from the flattened core's spans (identical counts — the csr
-/// core holds the same adjacency; sums are order-free).
-[[nodiscard]] PathLabels build_path_labels(const CsrCore& core,
                                            const Netlist& netlist, Side side,
                                            const AnalyzeOptions& options = {});
 

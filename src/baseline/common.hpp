@@ -60,10 +60,10 @@ struct Prep {
       for (std::size_t head = 0; head < queue.size(); ++head) {
         Vertex v = queue[head];
         if (!sg.is_special(v)) order.push_back(v);
-        for (const auto& e : sg.edges(v)) {
-          if (!seen[e.to]) {
-            seen[e.to] = true;
-            queue.push_back(e.to);
+        for (const Vertex to : sg.neighbors(v)) {
+          if (!seen[to]) {
+            seen[to] = true;
+            queue.push_back(to);
           }
         }
       }
@@ -89,8 +89,10 @@ struct Prep {
                                                      Vertex u, Vertex w,
                                                      Label c) {
     std::size_t n = 0;
-    for (const auto& e : graph.edges(u)) {
-      if (e.to == w && e.coefficient == c) ++n;
+    const auto to = graph.neighbors(u);
+    const auto coeff = graph.coefficients(u);
+    for (std::size_t k = 0; k < to.size(); ++k) {
+      if (to[k] == w && coeff[k] == c) ++n;
     }
     return n;
   }
@@ -99,11 +101,14 @@ struct Prep {
   /// present between g and their images (with multiplicity).
   [[nodiscard]] bool edges_consistent(
       Vertex s, Vertex g, const std::vector<Vertex>& mapping) const {
-    for (const auto& e : sg.edges(s)) {
-      Vertex image = sg.is_special(e.to) ? special_image[e.to] : mapping[e.to];
+    const auto to = sg.neighbors(s);
+    const auto coeff = sg.coefficients(s);
+    for (std::size_t k = 0; k < to.size(); ++k) {
+      const Vertex image =
+          sg.is_special(to[k]) ? special_image[to[k]] : mapping[to[k]];
       if (image == kInvalid) continue;  // not yet placed
-      if (edge_multiplicity(gg, g, image, e.coefficient) <
-          edge_multiplicity(sg, s, e.to, e.coefficient)) {
+      if (edge_multiplicity(gg, g, image, coeff[k]) <
+          edge_multiplicity(sg, s, to[k], coeff[k])) {
         return false;
       }
     }

@@ -82,12 +82,14 @@ struct UllmannSearch {
         if (!prep.compatible(s, g)) continue;
         // Rail adjacency: edges to resolved globals must exist now.
         bool ok = true;
-        for (const auto& e : prep.sg.edges(s)) {
-          if (!prep.sg.is_special(e.to)) continue;
-          const Vertex rail = prep.special_image[e.to];
+        const auto s_to = prep.sg.neighbors(s);
+        const auto s_coeff = prep.sg.coefficients(s);
+        for (std::size_t k = 0; k < s_to.size(); ++k) {
+          if (!prep.sg.is_special(s_to[k])) continue;
+          const Vertex rail = prep.special_image[s_to[k]];
           if (rail == kInvalid) continue;
-          if (Prep::edge_multiplicity(prep.gg, g, rail, e.coefficient) <
-              Prep::edge_multiplicity(prep.sg, s, e.to, e.coefficient)) {
+          if (Prep::edge_multiplicity(prep.gg, g, rail, s_coeff[k]) <
+              Prep::edge_multiplicity(prep.sg, s, s_to[k], s_coeff[k])) {
             ok = false;
             break;
           }
@@ -114,12 +116,16 @@ struct UllmannSearch {
         const Vertex s = prep.order[r];
         std::vector<std::size_t> to_clear;
         m.for_each(r, [&](std::size_t g) {
-          for (const auto& e : prep.sg.edges(s)) {
-            if (prep.sg.is_special(e.to)) continue;  // handled in init
-            const std::uint32_t nr = row_of[e.to];
+          const auto s_to = prep.sg.neighbors(s);
+          const auto s_coeff = prep.sg.coefficients(s);
+          const auto g_to = prep.gg.neighbors(static_cast<Vertex>(g));
+          const auto g_coeff = prep.gg.coefficients(static_cast<Vertex>(g));
+          for (std::size_t k = 0; k < s_to.size(); ++k) {
+            if (prep.sg.is_special(s_to[k])) continue;  // handled in init
+            const std::uint32_t nr = row_of[s_to[k]];
             bool witness = false;
-            for (const auto& he : prep.gg.edges(static_cast<Vertex>(g))) {
-              if (he.coefficient == e.coefficient && m.get(nr, he.to)) {
+            for (std::size_t j = 0; j < g_to.size(); ++j) {
+              if (g_coeff[j] == s_coeff[k] && m.get(nr, g_to[j])) {
                 witness = true;
                 break;
               }

@@ -43,23 +43,29 @@ struct Vf2Search {
     out->clear();
     // Prefer an assigned non-special neighbor: its image's adjacency is the
     // tightest candidate source.
-    for (const auto& e : prep.sg.edges(s)) {
-      const Vertex img = prep.sg.is_special(e.to) ? kInvalid : mapping[e.to];
-      if (img == kInvalid) continue;
-      for (const auto& he : prep.gg.edges(img)) {
-        if (he.coefficient == e.coefficient) out->push_back(he.to);
+    const auto s_to = prep.sg.neighbors(s);
+    const auto s_coeff = prep.sg.coefficients(s);
+    // Host neighbors of `from` reached through coefficient `c`.
+    auto push_through = [&](Vertex from, Label c) {
+      const auto g_to = prep.gg.neighbors(from);
+      const auto g_coeff = prep.gg.coefficients(from);
+      for (std::size_t j = 0; j < g_to.size(); ++j) {
+        if (g_coeff[j] == c) out->push_back(g_to[j]);
       }
       dedup(out);
+    };
+    for (std::size_t k = 0; k < s_to.size(); ++k) {
+      const Vertex img =
+          prep.sg.is_special(s_to[k]) ? kInvalid : mapping[s_to[k]];
+      if (img == kInvalid) continue;
+      push_through(img, s_coeff[k]);
       return;
     }
-    for (const auto& e : prep.sg.edges(s)) {
-      if (!prep.sg.is_special(e.to)) continue;
-      const Vertex rail = prep.special_image[e.to];
+    for (std::size_t k = 0; k < s_to.size(); ++k) {
+      if (!prep.sg.is_special(s_to[k])) continue;
+      const Vertex rail = prep.special_image[s_to[k]];
       if (rail == kInvalid) continue;
-      for (const auto& he : prep.gg.edges(rail)) {
-        if (he.coefficient == e.coefficient) out->push_back(he.to);
-      }
-      dedup(out);
+      push_through(rail, s_coeff[k]);
       return;
     }
     // First vertex (or disconnected pattern handled by caller's contract).

@@ -29,8 +29,10 @@ std::vector<Label> refined_labels(const CircuitGraph& g,
         continue;
       }
       Label sum = 0;
-      for (const auto& e : g.edges(v)) {
-        sum += edge_contribution(e.coefficient, labels[e.to]);
+      const auto to = g.neighbors(v);
+      const auto coeff = g.coefficients(v);
+      for (std::size_t k = 0; k < to.size(); ++k) {
+        sum += edge_contribution(coeff[k], labels[to[k]]);
       }
       scratch[v] = relabel(labels[v], sum);
     }

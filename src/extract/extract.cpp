@@ -230,20 +230,12 @@ ExtractResult extract_gates(const Netlist& transistors,
     }
     const std::size_t tier_size = tier_end - oi;
 
-    // One session snapshot (graph + csr core + label cache) shared by
+    // One session snapshot (graph + label cache + path labels) shared by
     // every match in the tier.
     obs::Metrics::SpanTimer tier_span(metrics, "extract.tier");
     obs::count(metrics, "extract.tiers");
     obs::count(metrics, "extract.cells_attempted", tier_size);
-    SessionOptions tier_so;
-    tier_so.core = options.match.core;
-    HostSession tier_session = HostSession::build(working, tier_so);
-    if (const CsrCore* core = tier_session.core()) {
-      obs::span_add(metrics, "csr.build_seconds", core->build_seconds());
-      if (metrics != nullptr) {
-        metrics->gauge("csr.bytes", static_cast<double>(core->bytes()));
-      }
-    }
+    HostSession tier_session = HostSession::build(working);
     struct CellMatch {
       MatchReport report;
       double seconds = 0;
@@ -353,7 +345,7 @@ ExtractResult extract_gates(HostSession& session,
                             const std::vector<LibraryCell>& cells,
                             const ExtractOptions& options) {
   // Extraction re-clones the host onto the extended catalog and mutates it
-  // tier by tier, so the session's own graph/core/cache cannot be matched
+  // tier by tier, so the session's own graph/cache cannot be matched
   // against directly: the sweep builds its per-tier snapshot sessions. This
   // overload is the session-first entry point for callers (CLI, serve) that
   // keep the host in a HostSession for ECO patching.

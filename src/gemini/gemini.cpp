@@ -38,8 +38,10 @@ struct GeminiState {
         continue;
       }
       Label sum = 0;
-      for (const auto& e : g.edges(v)) {
-        sum += edge_contribution(e.coefficient, old_l[e.to]);
+      const auto to = g.neighbors(v);
+      const auto coeff = g.coefficients(v);
+      for (std::size_t k = 0; k < to.size(); ++k) {
+        sum += edge_contribution(coeff[k], old_l[to[k]]);
       }
       new_l[v] = relabel(old_l[v], sum);
     }

@@ -59,8 +59,8 @@ struct Component {
 
   // Boundary: every anchor net an owned device touches, once, ascending.
   for (Vertex d : sh.devices) {
-    for (const auto& e : g.edges(d)) {
-      if (anchor[e.to] != 0) sh.anchor_refs.push_back(e.to);
+    for (const Vertex to : g.neighbors(d)) {
+      if (anchor[to] != 0) sh.anchor_refs.push_back(to);
     }
   }
   std::sort(sh.anchor_refs.begin(), sh.anchor_refs.end());
@@ -74,16 +74,16 @@ struct Component {
   sh.slice_begin.reserve(sh.devices.size() + 1);
   sh.slice_begin.push_back(0);
   for (Vertex d : sh.devices) {
-    for (const auto& e : g.edges(d)) {
+    for (const Vertex to : g.neighbors(d)) {
       std::size_t local;
-      if (anchor[e.to] != 0) {
+      if (anchor[to] != 0) {
         const auto it = std::lower_bound(sh.anchor_refs.begin(),
-                                         sh.anchor_refs.end(), e.to);
+                                         sh.anchor_refs.end(), to);
         local = anchor_base +
                 static_cast<std::size_t>(it - sh.anchor_refs.begin());
       } else {
         const auto it =
-            std::lower_bound(sh.nets.begin(), sh.nets.end(), e.to);
+            std::lower_bound(sh.nets.begin(), sh.nets.end(), to);
         local = net_base + static_cast<std::size_t>(it - sh.nets.begin());
       }
       sh.slice_adj.push_back(static_cast<std::uint32_t>(local));
@@ -194,10 +194,10 @@ ShardPlan ShardPlan::build(const CircuitGraph& graph,
         ++comp.device_count;
         comp.signature.push_back(graph.initial_label(v));
       }
-      for (const auto& e : graph.edges(v)) {
-        if (anchor[e.to] != 0 || visited[e.to] != 0) continue;
-        visited[e.to] = 1;
-        queue.push_back(e.to);
+      for (const Vertex to : graph.neighbors(v)) {
+        if (anchor[to] != 0 || visited[to] != 0) continue;
+        visited[to] = 1;
+        queue.push_back(to);
       }
     }
     std::sort(comp.signature.begin(), comp.signature.end());

@@ -20,8 +20,10 @@ void relabel(const CircuitGraph& g, std::vector<Label>& labels) {
       continue;
     }
     Label sum = 0;
-    for (const auto& e : g.edges(v)) {
-      sum += edge_contribution(e.coefficient, labels[e.to]);
+    const auto to = g.neighbors(v);
+    const auto coeff = g.coefficients(v);
+    for (std::size_t k = 0; k < to.size(); ++k) {
+      sum += edge_contribution(coeff[k], labels[to[k]]);
     }
     next[v] = subg::relabel(labels[v], sum);
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/csr_core.hpp"
 #include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
@@ -23,15 +22,10 @@ void HostLabelCache::normalize(RailKey& rails) {
 
 const std::vector<Label>& HostLabelCache::labels(const RailKey& rails,
                                                  std::size_t round,
-                                                 ThreadPool* pool,
-                                                 const CsrCore* core) {
+                                                 ThreadPool* pool) {
   SUBG_FAULT_POINT("cache");
   RailKey key = rails;
   normalize(key);
-  if (core != nullptr) {
-    SUBG_CHECK_MSG(&core->graph() == g_,
-                   "csr core was built over a different host graph");
-  }
   if constexpr (kAuditEnabled) {
     // Cache-key stability: every lookup of the same rail set must hash to
     // the same normalized key, or concurrent jobs would fork divergent
@@ -57,20 +51,10 @@ const std::vector<Label>& HostLabelCache::labels(const RailKey& rails,
   if (seq.empty()) {
     // Round 0: invariant labels, with rail overrides. Host-declared globals
     // that are NOT in the rail set get ordinary degree labels (specialness
-    // is pattern-driven; see phase1.cpp). The csr core has the base labels
-    // precomputed; the legacy path derives net degrees from the Netlist.
+    // is pattern-driven; see phase1.cpp).
     std::vector<Label> init(g_->vertex_count());
-    if (core != nullptr) {
-      for (Vertex v = 0; v < g_->vertex_count(); ++v) {
-        init[v] = core->host_base_label(v);
-      }
-    } else {
-      const Netlist& hnl = g_->netlist();
-      for (Vertex v = 0; v < g_->vertex_count(); ++v) {
-        init[v] = g_->is_device(v)
-                      ? g_->initial_label(v)
-                      : degree_label(hnl.net_degree(g_->net_of(v)));
-      }
+    for (Vertex v = 0; v < g_->vertex_count(); ++v) {
+      init[v] = g_->host_base_label(v);
     }
     for (const auto& [vertex, label] : key) {
       SUBG_CHECK_MSG(vertex < g_->vertex_count(), "rail vertex out of range");
@@ -98,40 +82,19 @@ const std::vector<Label>& HostLabelCache::labels(const RailKey& rails,
     std::vector<Label> next = prev;
 
     // Two-buffer synchronous update: next[v] depends only on prev, so the
-    // vertex sweep is data-parallel and scheduling-order independent. Both
-    // cores visit edges in the same order — equal sums bit for bit.
-    auto sweep_legacy = [&](std::vector<Label>& out, std::size_t begin,
-                            std::size_t end) {
+    // vertex sweep is data-parallel and scheduling-order independent.
+    auto sweep_into = [&](std::vector<Label>& out, std::size_t begin,
+                          std::size_t end) {
       for (Vertex v = static_cast<Vertex>(begin); v < end; ++v) {
         const bool is_net = g_->is_net(v);
         if (is_net != net_round || is_rail[v] != 0) continue;
-        Label sum = 0;
-        for (const auto& e : g_->edges(v)) {
-          sum += edge_contribution(e.coefficient, prev[e.to]);
-        }
-        out[v] = relabel(prev[v], sum);
-      }
-    };
-    auto sweep_csr = [&](std::vector<Label>& out, std::size_t begin,
-                         std::size_t end) {
-      for (Vertex v = static_cast<Vertex>(begin); v < end; ++v) {
-        const bool is_net = g_->is_net(v);
-        if (is_net != net_round || is_rail[v] != 0) continue;
-        const std::span<const Vertex> to = core->neighbors(v);
-        const std::span<const Label> coeff = core->coefficients(v);
+        const std::span<const Vertex> to = g_->neighbors(v);
+        const std::span<const Label> coeff = g_->coefficients(v);
         Label sum = 0;
         for (std::size_t i = 0; i < to.size(); ++i) {
           sum += edge_contribution(coeff[i], prev[to[i]]);
         }
         out[v] = relabel(prev[v], sum);
-      }
-    };
-    auto sweep_into = [&](std::vector<Label>& out, std::size_t begin,
-                          std::size_t end) {
-      if (core != nullptr) {
-        sweep_csr(out, begin, end);
-      } else {
-        sweep_legacy(out, begin, end);
       }
     };
     if (pool != nullptr) {
@@ -212,10 +175,10 @@ std::unique_ptr<HostLabelCache> HostLabelCache::rebase(
        level <= max_round && !frontier.empty(); ++level) {
     next_frontier.clear();
     for (Vertex v : frontier) {
-      for (const CircuitGraph::Edge& e : new_host.edges(v)) {
-        if (dist[e.to] > level) {
-          dist[e.to] = level;
-          next_frontier.push_back(e.to);
+      for (const Vertex to : new_host.neighbors(v)) {
+        if (dist[to] > level) {
+          dist[to] = level;
+          next_frontier.push_back(to);
         }
       }
     }
@@ -225,7 +188,6 @@ std::unique_ptr<HostLabelCache> HostLabelCache::rebase(
 
   std::uint64_t recomputed = 0;
   std::uint64_t recompute_edge_visits = 0;
-  const Netlist& hnl = new_host.netlist();
   for (const auto& [old_key, old_seq] : sequences_) {
     if (old_seq.empty()) continue;
     // Remap the rail key; a key whose rail net was removed is dropped (no
@@ -251,9 +213,7 @@ std::unique_ptr<HostLabelCache> HostLabelCache::rebase(
     std::vector<Label> init(nv);
     for (Vertex v = 0; v < nv; ++v) {
       if (is_dirty(v, 0)) {
-        init[v] = new_host.is_device(v)
-                      ? new_host.initial_label(v)
-                      : degree_label(hnl.net_degree(new_host.net_of(v)));
+        init[v] = new_host.host_base_label(v);
         ++recomputed;
       } else {
         init[v] = old_seq[0][new_to_old[v]];
@@ -269,9 +229,11 @@ std::unique_ptr<HostLabelCache> HostLabelCache::rebase(
       for (Vertex v = 0; v < nv; ++v) {
         if (new_host.is_net(v) != net_round || is_rail[v] != 0) continue;
         if (is_dirty(v, r)) {
+          const std::span<const Vertex> to = new_host.neighbors(v);
+          const std::span<const Label> coeff = new_host.coefficients(v);
           Label sum = 0;
-          for (const CircuitGraph::Edge& e : new_host.edges(v)) {
-            sum += edge_contribution(e.coefficient, prev[e.to]);
+          for (std::size_t i = 0; i < to.size(); ++i) {
+            sum += edge_contribution(coeff[i], prev[to[i]]);
           }
           next[v] = relabel(prev[v], sum);
           ++recomputed;

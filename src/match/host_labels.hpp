@@ -23,12 +23,6 @@
 // returned array reference stays valid for the cache's lifetime (storage is
 // a deque, so finished rounds never move) and is immutable once returned,
 // so callers may read it without holding any lock.
-//
-// Core toggle: when a CsrCore over the same host graph is passed, the
-// relabel sweep iterates the flat SoA arrays and round 0 is built from the
-// precomputed base labels (no Netlist degree lookups). Both paths compute
-// the identical label values in the identical edge order, so memoized
-// sequences are interchangeable regardless of which core filled them.
 #pragma once
 
 #include <cstddef>
@@ -49,7 +43,6 @@ class Metrics;
 
 namespace subg {
 
-class CsrCore;
 class ThreadPool;
 
 class HostLabelCache {
@@ -72,12 +65,9 @@ class HostLabelCache {
   /// (and memoized) on demand. The key is canonicalized via normalize()
   /// before lookup. When `pool` is non-null the relabeling sweep is
   /// data-parallel over host vertices (two-buffer synchronous update, so
-  /// the result is bit-identical to the serial sweep). When `core` is
-  /// non-null (it must flatten this cache's host graph) the sweep runs on
-  /// the flat SoA arrays — same values, same order.
+  /// the result is bit-identical to the serial sweep).
   const std::vector<Label>& labels(const RailKey& rails, std::size_t round,
-                                   ThreadPool* pool = nullptr,
-                                   const CsrCore* core = nullptr);
+                                   ThreadPool* pool = nullptr);
 
   [[nodiscard]] const CircuitGraph& host() const { return *g_; }
 
@@ -92,7 +82,7 @@ class HostLabelCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     /// Edge contributions computed by relabel sweeps (a pure function of
-    /// which rounds were computed — identical across --jobs and --core).
+    /// which rounds were computed — identical across --jobs).
     std::uint64_t relabel_ops = 0;
   };
   [[nodiscard]] CacheStats stats() const;

@@ -35,7 +35,6 @@ struct Phase2Stats {
                                      ///< (frontier expansion + label sums,
                                      ///< both sides) — a deterministic work
                                      ///< counter, identical across --jobs
-                                     ///< and --core
   std::size_t domain_prunes = 0;     ///< postulates rejected by the
                                      ///< neighborhood-signature prefilter
                                      ///< before any relabeling pass ran

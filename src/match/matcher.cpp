@@ -28,10 +28,10 @@ void check_pattern_connected(const CircuitGraph& s) {
   while (!stack.empty()) {
     Vertex v = stack.back();
     stack.pop_back();
-    for (const auto& e : s.edges(v)) {
-      if (!seen[e.to]) {
-        seen[e.to] = true;
-        stack.push_back(e.to);
+    for (const Vertex to : s.neighbors(v)) {
+      if (!seen[to]) {
+        seen[to] = true;
+        stack.push_back(to);
       }
     }
   }
@@ -69,7 +69,7 @@ SubgraphMatcher::SubgraphMatcher(const Netlist& pattern, const Netlist& host,
       owned_host_graph_(std::in_place, host),
       host_graph_(&*owned_host_graph_) {
   validate_inputs();
-  init_cores();
+  record_graph_metrics();
 }
 
 SubgraphMatcher::SubgraphMatcher(const Netlist& pattern,
@@ -81,40 +81,21 @@ SubgraphMatcher::SubgraphMatcher(const Netlist& pattern,
       pattern_graph_(pattern),
       host_graph_(&host_graph) {
   validate_inputs();
-  init_cores();
+  record_graph_metrics();
 }
 
-void SubgraphMatcher::init_cores() {
-  if (options_.core != CoreMode::kCsr) return;
-  // Capacity is a structured refusal, not a crash: a host whose edge count
-  // overflows the configured CSR offset width makes find_all() return immediately
-  // with this status (instances empty, outcome truncated) — the caller can
-  // retry with --core=legacy. Checked here, before any allocation, so the
-  // constructor's SUBG_CHECK backstop can never fire through this path.
-  core_status_ = CsrCore::capacity_status(pattern_graph_);
-  if (core_status_.complete() && options_.host_core == nullptr) {
-    core_status_ = CsrCore::capacity_status(*host_graph_);
+void SubgraphMatcher::record_graph_metrics() const {
+  if (options_.metrics == nullptr) return;
+  obs::Metrics& m = *options_.metrics;
+  // The footprint counts both graphs the search walks, whether the host
+  // graph is owned here or borrowed from a session; the build time counts
+  // only the graphs this matcher built.
+  m.span_add("csr.build_seconds", pattern_graph_.build_seconds());
+  if (owned_host_graph_.has_value()) {
+    m.span_add("csr.build_seconds", owned_host_graph_->build_seconds());
   }
-  if (!core_status_.complete()) return;
-  pattern_core_.emplace(pattern_graph_);
-  if (options_.host_core != nullptr) {
-    SUBG_CHECK_MSG(&options_.host_core->graph() == host_graph_,
-                   "external csr core was built over a different host graph");
-    host_core_ = options_.host_core;
-  } else {
-    owned_host_core_.emplace(*host_graph_);
-    host_core_ = &*owned_host_core_;
-  }
-  if (options_.metrics != nullptr) {
-    obs::Metrics& m = *options_.metrics;
-    m.span_add("csr.build_seconds", pattern_core_->build_seconds());
-    std::size_t bytes = pattern_core_->bytes();
-    if (owned_host_core_.has_value()) {
-      m.span_add("csr.build_seconds", owned_host_core_->build_seconds());
-      bytes += owned_host_core_->bytes();
-    }
-    m.gauge("csr.bytes", static_cast<double>(bytes));
-  }
+  m.gauge("csr.bytes",
+          static_cast<double>(pattern_graph_.bytes() + host_graph_->bytes()));
 }
 
 void SubgraphMatcher::ensure_certificate() {
@@ -126,15 +107,8 @@ void SubgraphMatcher::ensure_certificate() {
 void SubgraphMatcher::ensure_path_labels() {
   const analyze::AnalyzeOptions defaults;
   if (!pattern_paths_.has_value()) {
-    // The csr overload walks the same adjacency in the same order, so the
-    // counts are bit-identical to the CircuitGraph build — the --core
-    // equivalence tests rely on it.
-    pattern_paths_ =
-        pattern_core_.has_value()
-            ? analyze::build_path_labels(*pattern_core_, pattern_,
-                                         analyze::Side::kPattern, defaults)
-            : analyze::build_path_labels(pattern_graph_, pattern_,
-                                         analyze::Side::kPattern, defaults);
+    pattern_paths_ = analyze::build_path_labels(
+        pattern_graph_, pattern_, analyze::Side::kPattern, defaults);
   }
   if (host_paths_ == nullptr) {
     if (options_.host_path_labels != nullptr) {
@@ -143,12 +117,8 @@ void SubgraphMatcher::ensure_path_labels() {
                      "external host path labels cover a different host");
       host_paths_ = options_.host_path_labels;
     } else {
-      owned_host_paths_ =
-          host_core_ != nullptr
-              ? analyze::build_path_labels(*host_core_, host_,
-                                           analyze::Side::kHost, defaults)
-              : analyze::build_path_labels(*host_graph_, host_,
-                                           analyze::Side::kHost, defaults);
+      owned_host_paths_ = analyze::build_path_labels(
+          *host_graph_, host_, analyze::Side::kHost, defaults);
       host_paths_ = &*owned_host_paths_;
     }
   }
@@ -168,10 +138,6 @@ void SubgraphMatcher::validate_inputs() const {
 
 MatchReport SubgraphMatcher::run(std::size_t limit) {
   MatchReport report;
-  if (!core_status_.complete()) {
-    report.status = core_status_;
-    return report;
-  }
   if (options_.analyze) {
     // Pre-search infeasibility certificates: each rule is a relaxation of
     // the matcher's own acceptance checks (analyze.hpp), so a certificate
@@ -211,8 +177,6 @@ MatchReport SubgraphMatcher::run(std::size_t limit) {
   p1.budget = options_.budget;  // one envelope governs the whole run
   p1.pool = pool;
   p1.metrics = options_.metrics;
-  p1.pattern_core = pattern_core_.has_value() ? &*pattern_core_ : nullptr;
-  p1.host_core = host_core_;
   report.phase1 = run_phase1(pattern_graph_, *host_graph_, p1);
   report.phase1_seconds = timer.seconds();
   obs::span_add(options_.metrics, "phase1.seconds", report.phase1_seconds);
@@ -228,8 +192,6 @@ MatchReport SubgraphMatcher::run(std::size_t limit) {
   p2.budget = options_.budget;
   p2.trace = options_.trace;
   p2.signature_filter = options_.phase2_filter != Phase2Filter::kOff;
-  p2.pattern_core = pattern_core_.has_value() ? &*pattern_core_ : nullptr;
-  p2.host_core = host_core_;
   if (options_.phase2_filter == Phase2Filter::kPaths) {
     ensure_path_labels();
     p2.pattern_paths = &*pattern_paths_;

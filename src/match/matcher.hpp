@@ -22,11 +22,9 @@
 
 #include "analyze/analyze.hpp"
 #include "graph/circuit_graph.hpp"
-#include "graph/csr_core.hpp"
 #include "match/instance.hpp"
 #include "match/phase1.hpp"
 #include "match/phase2.hpp"
-#include "util/core_mode.hpp"
 #include "util/phase2_filter.hpp"
 
 namespace subg::obs {
@@ -103,16 +101,6 @@ struct MatchOptions {
   /// Null (the default) records nothing and costs nothing — the Phase II
   /// inner loops are never instrumented per-pass.
   obs::Metrics* metrics = nullptr;
-  /// Matching-core layout (see graph/csr_core.hpp). kCsr (the default)
-  /// flattens both graphs into contiguous SoA index arrays once per matcher
-  /// and runs every relabel sweep over them; kLegacy walks the CircuitGraph
-  /// adjacency directly. Reports are byte-identical either way — the csr
-  /// core visits the same edges in the same order with the same arithmetic.
-  CoreMode core = CoreMode::kCsr;
-  /// Optional externally owned host core, shared across a library sweep
-  /// (extract builds one per tier). Must have been built over the host
-  /// graph handed to the matcher; only consulted when core == kCsr.
-  const CsrCore* host_core = nullptr;
 };
 
 struct MatchReport {
@@ -141,8 +129,9 @@ class SubgraphMatcher {
  public:
   /// Both netlists must outlive the matcher and stay unmodified while it is
   /// in use. Throws subg::Error when the pattern is empty, when it is
-  /// disconnected (counting global rails as connectors), or when the two
-  /// catalogs disagree on the pin structure of a shared device type.
+  /// disconnected (counting global rails as connectors), when the two
+  /// catalogs disagree on the pin structure of a shared device type, or
+  /// when a graph overflows the CSR offset width.
   SubgraphMatcher(const Netlist& pattern, const Netlist& host,
                   MatchOptions options = {});
 
@@ -169,9 +158,9 @@ class SubgraphMatcher {
  private:
   MatchReport run(std::size_t limit);
   void validate_inputs() const;
-  /// Build (or adopt) the flattened cores when options_.core == kCsr, and
-  /// record their build time / footprint against the metrics sink.
-  void init_cores();
+  /// Record the graphs' footprint ("csr.bytes") and the build time of the
+  /// graphs built here ("csr.build_seconds") against the metrics sink.
+  void record_graph_metrics() const;
   /// Lazily build the analyzer artifacts a run() needs: the feasibility
   /// certificate (options_.analyze), path labels for both sides (kPaths),
   /// pattern orbits (exhaustive, unlimited). Each is computed at most once
@@ -186,12 +175,6 @@ class SubgraphMatcher {
   CircuitGraph pattern_graph_;
   std::optional<CircuitGraph> owned_host_graph_;
   const CircuitGraph* host_graph_;
-  std::optional<CsrCore> pattern_core_;
-  std::optional<CsrCore> owned_host_core_;
-  const CsrCore* host_core_ = nullptr;
-  /// Non-complete when the csr core refused to build (edge-offset
-  /// overflow): run() returns it immediately instead of searching.
-  RunStatus core_status_;
   // Cached analyzer artifacts (see ensure_*).
   bool certificate_checked_ = false;
   std::optional<analyze::Certificate> infeasibility_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "graph/csr_core.hpp"
 #include "graph/shard_plan.hpp"
 #include "match/host_labels.hpp"
 #include "obs/metrics.hpp"
@@ -25,16 +24,10 @@ struct Phase1State {
   const CircuitGraph& g;
   HostLabelCache& cache;
   ThreadPool* pool = nullptr;
-  /// Non-null = the csr core layout (flat SoA edge walks, arena-backed
-  /// censuses); null = the legacy CircuitGraph walks. Labels, prunes, and
-  /// every counter come out identical either way.
-  const CsrCore* s_core = nullptr;
-  const CsrCore* g_core = nullptr;
-  /// Per-round scratch for the flat censuses (csr mode only); reserved
-  /// once, reset per census, never grown mid-round.
+  /// Per-round scratch for the flat censuses; reserved once, reset per
+  /// census, never grown mid-round.
   Arena arena;
-  /// Pattern-side edge contributions computed (work counter; counted by
-  /// the same rule in both cores).
+  /// Pattern-side edge contributions computed (work counter).
   std::uint64_t relabel_ops = 0;
   HostLabelCache::RailKey rail_key;
 
@@ -73,23 +66,17 @@ struct Phase1State {
         g(host),
         cache(host_cache),
         pool(options.pool),
-        s_core(options.pattern_core),
-        g_core(options.host_core),
         shards(options.shards) {
     if (shards != nullptr) {
       shard_skip_net.assign(shards->shards().size(), 0);
       shard_skip_dev.assign(shards->shards().size(), 0);
     }
-    if (s_core != nullptr) {
-      SUBG_CHECK_MSG(&s_core->graph() == &s,
-                     "pattern csr core was built over a different graph");
-      // Worst case one census holds live at a time: the sorted label
-      // column plus the unique-label column and two count columns, all
-      // bounded by the pattern vertex count (plus alignment slack).
-      arena.reserve(s.vertex_count() *
-                        (2 * sizeof(Label) + 2 * sizeof(std::uint32_t)) +
-                    4 * alignof(std::max_align_t));
-    }
+    // Worst case one census holds live at a time: the sorted label column
+    // plus the unique-label column and two count columns, all bounded by
+    // the pattern vertex count (plus alignment slack).
+    arena.reserve(s.vertex_count() *
+                      (2 * sizeof(Label) + 2 * sizeof(std::uint32_t)) +
+                  4 * alignof(std::max_align_t));
     label_s.resize(s.vertex_count());
     for (Vertex v = 0; v < s.vertex_count(); ++v) label_s[v] = s.initial_label(v);
     scratch_s = label_s;
@@ -112,7 +99,7 @@ struct Phase1State {
     // net (aliased globals) must not leave a duplicate entry in the cache
     // key — that would miss the cache and double-apply the rail override.
     HostLabelCache::normalize(rail_key);
-    label_g = &cache.labels(rail_key, 0, pool, g_core);
+    label_g = &cache.labels(rail_key, 0, pool);
 
     valid_s.assign(s.vertex_count(), true);
     for (NetId port : pnl.ports()) {
@@ -152,26 +139,15 @@ struct Phase1State {
       if (!kind_of(s, v, kind) || s.is_special(v) || !valid_s[v]) continue;
       Label sum = 0;
       bool corrupt = false;
-      if (s_core != nullptr) {
-        const std::span<const Vertex> to = s_core->neighbors(v);
-        const std::span<const Label> coeff = s_core->coefficients(v);
-        for (std::size_t i = 0; i < to.size(); ++i) {
-          if (!valid_s[to[i]]) {
-            corrupt = true;
-            break;
-          }
-          sum += edge_contribution(coeff[i], label_s[to[i]]);
-          ++ops;
+      const std::span<const Vertex> to = s.neighbors(v);
+      const std::span<const Label> coeff = s.coefficients(v);
+      for (std::size_t i = 0; i < to.size(); ++i) {
+        if (!valid_s[to[i]]) {
+          corrupt = true;
+          break;
         }
-      } else {
-        for (const auto& e : s.edges(v)) {
-          if (!valid_s[e.to]) {
-            corrupt = true;
-            break;
-          }
-          sum += edge_contribution(e.coefficient, label_s[e.to]);
-          ++ops;
-        }
+        sum += edge_contribution(coeff[i], label_s[to[i]]);
+        ++ops;
       }
       if (corrupt) {
         valid_s[v] = false;
@@ -195,14 +171,14 @@ struct Phase1State {
       // and did not change validity this round).
       for (Vertex v = 0; v < s.vertex_count(); ++v) {
         if (!kind_of(s, v, kind) || s.is_special(v) || !valid_s[v]) continue;
-        for (const auto& e : s.edges(v)) {
-          SUBG_AUDIT_MSG(valid_s[e.to],
+        for (const Vertex to : s.neighbors(v)) {
+          SUBG_AUDIT_MSG(valid_s[to],
                          "phase1 audit: valid vertex kept a corrupt neighbor");
         }
       }
     }
     ++round;
-    label_g = &cache.labels(rail_key, round, pool, g_core);
+    label_g = &cache.labels(rail_key, round, pool);
   }
 
   [[nodiscard]] bool any_valid(Kind kind) const {
@@ -214,36 +190,24 @@ struct Phase1State {
 
   /// (valid vertex count, distinct label count) over valid pattern vertices
   /// of a kind — used to detect that refinement has stabilized (patterns
-  /// with few or no ports may never corrupt a whole side). The csr mode
-  /// sorts an arena column instead of filling a hash map; the pair is a
-  /// pure function of the labels either way.
+  /// with few or no ports may never corrupt a whole side). Counted over a
+  /// sorted arena column.
   [[nodiscard]] std::pair<std::size_t, std::size_t> refinement_shape(
       Kind kind) {
-    if (s_core != nullptr) {
-      arena.reset();
-      std::span<Label> labels = arena.take<Label>(s.vertex_count());
-      std::size_t count = 0;
-      for (Vertex v = 0; v < s.vertex_count(); ++v) {
-        if (kind_of(s, v, kind) && !s.is_special(v) && valid_s[v]) {
-          labels[count++] = label_s[v];
-        }
-      }
-      std::sort(labels.begin(), labels.begin() + count);
-      std::size_t distinct = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (i == 0 || labels[i] != labels[i - 1]) ++distinct;
-      }
-      return {count, distinct};
-    }
-    std::unordered_map<Label, std::size_t> parts;
+    arena.reset();
+    std::span<Label> labels = arena.take<Label>(s.vertex_count());
     std::size_t count = 0;
     for (Vertex v = 0; v < s.vertex_count(); ++v) {
       if (kind_of(s, v, kind) && !s.is_special(v) && valid_s[v]) {
-        ++count;
-        ++parts[label_s[v]];
+        labels[count++] = label_s[v];
       }
     }
-    return {count, parts.size()};
+    std::sort(labels.begin(), labels.begin() + count);
+    std::size_t distinct = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (i == 0 || labels[i] != labels[i - 1]) ++distinct;
+    }
+    return {count, distinct};
   }
 
   bool prune = true;
@@ -252,43 +216,13 @@ struct Phase1State {
 
   /// Prune host vertices whose label matches no valid pattern partition;
   /// detect infeasibility when a host partition is smaller than its valid
-  /// pattern twin. Returns false on infeasibility. Both paths prune the
-  /// same host vertices and reach the same verdict: the censuses are pure
-  /// functions of the label multisets, independent of container.
+  /// pattern twin. Returns false on infeasibility. The pattern census is a
+  /// sorted arena column (run-length counted), the host sweep
+  /// binary-searches it. Patterns are tiny, so the search column lives in
+  /// L1 where a per-round hash map would churn the heap.
   [[nodiscard]] bool consistency(Kind kind) {
     if (!prune) return true;
     if (shards != nullptr) return consistency_sharded(kind);
-    if (s_core != nullptr) return consistency_flat(kind);
-    std::unordered_map<Label, std::size_t> s_count;
-    for (Vertex v = 0; v < s.vertex_count(); ++v) {
-      if (kind_of(s, v, kind) && !s.is_special(v) && valid_s[v]) {
-        ++s_count[label_s[v]];
-      }
-    }
-    std::unordered_map<Label, std::size_t> g_count;
-    for (Vertex v = 0; v < g.vertex_count(); ++v) {
-      if (!kind_of(g, v, kind) || !possible_g[v]) continue;
-      auto it = s_count.find((*label_g)[v]);
-      if (it == s_count.end()) {
-        possible_g[v] = false;  // cannot be the image of any valid vertex
-        ++pruned;
-      } else {
-        ++g_count[(*label_g)[v]];
-      }
-    }
-    for (const auto& [lbl, need] : s_count) {
-      auto it = g_count.find(lbl);
-      const std::size_t have = it == g_count.end() ? 0 : it->second;
-      if (have < need) return false;  // no induced subgraph can exist
-    }
-    return true;
-  }
-
-  /// csr-mode consistency: the pattern census is a sorted arena column
-  /// (run-length counted), the host sweep binary-searches it. Patterns are
-  /// tiny, so the search column lives in L1 where a per-round hash map
-  /// would churn the heap.
-  [[nodiscard]] bool consistency_flat(Kind kind) {
     arena.reset();
     std::span<Label> labels = arena.take<Label>(s.vertex_count());
     std::size_t n = 0;
@@ -330,7 +264,7 @@ struct Phase1State {
     return true;
   }
 
-  /// Sharded consistency (both cores route here when a plan is wired in):
+  /// Sharded consistency (used when a plan is wired in):
   /// the host sweep runs per region on the pool, each lane pruning its own
   /// vertices against the shared sorted pattern-label column and keeping a
   /// private census/prune count; lanes merge in shard-id order. At round 0
@@ -342,7 +276,7 @@ struct Phase1State {
   /// The anchor boundary is its own lane, swept every round, never skipped.
   [[nodiscard]] bool consistency_sharded(Kind kind) {
     // Pattern census → sorted distinct labels + needed counts (a pure
-    // function of the label multiset, so legacy and csr agree).
+    // function of the label multiset).
     std::vector<Label> sorted;
     sorted.reserve(s.vertex_count());
     for (Vertex v = 0; v < s.vertex_count(); ++v) {
@@ -611,10 +545,8 @@ Phase1Result run_phase1(const CircuitGraph& pattern, const CircuitGraph& host,
       m.add("phase1.shards.prefilter_rejects", result.shards_prefilter_rejects);
       m.gauge("phase1.shards.bytes", static_cast<double>(st.shards->bytes()));
     }
-    if (st.s_core != nullptr) {
-      m.gauge("csr.arena_bytes",
-              static_cast<double>(st.arena.high_water_bytes()));
-    }
+    m.gauge("csr.arena_bytes",
+            static_cast<double>(st.arena.high_water_bytes()));
     if (result.outcome != RunOutcome::kComplete) m.add("phase1.interrupted");
     if (!result.feasible) {
       m.add("phase1.infeasible");

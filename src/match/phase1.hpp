@@ -32,7 +32,6 @@ class Metrics;
 
 namespace subg {
 
-class CsrCore;
 class HostLabelCache;
 class ShardPlan;
 class ThreadPool;
@@ -67,14 +66,6 @@ struct Phase1Options {
   /// hits/misses. Null (the default) records nothing and costs nothing —
   /// counters are recorded once per run, never inside the relabeling loop.
   obs::Metrics* metrics = nullptr;
-  /// Flattened cores (graph/csr_core.hpp) for the `--core=csr` layout:
-  /// `pattern_core` over the pattern graph drives the pattern-side relabel
-  /// sweep and the arena-backed censuses; `host_core` over the host graph
-  /// is handed to the label cache. Null (the default) runs the legacy
-  /// CircuitGraph walks. Either may be set independently; results are
-  /// byte-identical in every combination.
-  const CsrCore* pattern_core = nullptr;
-  const CsrCore* host_core = nullptr;
   /// Optional shard plan over the host (graph/shard_plan.hpp; wired by
   /// HostSession when SessionOptions::shard_target_devices > 0). The
   /// host-side consistency sweeps then run per shard on `pool`, with the
@@ -112,7 +103,7 @@ struct Phase1Result {
   std::size_t possible_host_vertices = 0;
 
   /// Pattern-side edge contributions computed across all relabel rounds —
-  /// a deterministic work counter, identical across --jobs and --core.
+  /// a deterministic work counter, identical across --jobs.
   /// (Host-side relabel work is accounted by the label cache; see
   /// HostLabelCache::CacheStats::relabel_ops.)
   std::uint64_t relabel_ops = 0;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <set>
 
-#include "graph/csr_core.hpp"
 #include "match/verify.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
@@ -36,14 +35,6 @@ struct LabelLess {
 Phase2Verifier::Phase2Verifier(const CircuitGraph& pattern,
                                const CircuitGraph& host, Phase2Options options)
     : s_(pattern), g_(host), options_(options) {
-  if (options_.pattern_core != nullptr) {
-    SUBG_CHECK_MSG(&options_.pattern_core->graph() == &s_,
-                   "pattern csr core was built over a different graph");
-  }
-  if (options_.host_core != nullptr) {
-    SUBG_CHECK_MSG(&options_.host_core->graph() == &g_,
-                   "host csr core was built over a different graph");
-  }
   special_image_.assign(s_.vertex_count(), kInvalidVertex);
   host_fixed_label_.assign(g_.vertex_count(), kNoLabel);
 
@@ -81,10 +72,10 @@ Phase2Verifier::Phase2Verifier(const CircuitGraph& pattern,
     if (s_.is_special(v)) continue;
     PinProfile& p = profile_[v];
     if (s_.is_device(v)) {
-      for (const auto& e : s_.edges(v)) {
-        if (s_.is_special(e.to)) continue;
-        const auto d = static_cast<std::uint32_t>(s_.degree(e.to));
-        if (pnl.is_port(s_.net_of(e.to))) {
+      for (const Vertex to : s_.neighbors(v)) {
+        if (s_.is_special(to)) continue;
+        const auto d = static_cast<std::uint32_t>(s_.degree(to));
+        if (pnl.is_port(s_.net_of(to))) {
           p.lower.push_back(d);
         } else {
           p.exact.push_back(d);
@@ -95,8 +86,8 @@ Phase2Verifier::Phase2Verifier(const CircuitGraph& pattern,
     } else {
       p.degree = static_cast<std::uint32_t>(s_.degree(v));
       p.is_port = pnl.is_port(s_.net_of(v));
-      for (const auto& e : s_.edges(v)) {
-        p.nbr_labels.push_back(s_.initial_label(e.to));
+      for (const Vertex to : s_.neighbors(v)) {
+        p.nbr_labels.push_back(s_.initial_label(to));
       }
       std::sort(p.nbr_labels.begin(), p.nbr_labels.end());
     }
@@ -281,30 +272,7 @@ bool Phase2Verifier::states_equal(const State& a, const State& b) {
 bool Phase2Verifier::device_compatible(Vertex s, Vertex g) {
   const PinProfile& p = profile_[s];
   if (p.exact.empty() && p.lower.empty()) return true;
-  std::span<const std::uint32_t> hd;
-  if (options_.host_core != nullptr) {
-    hd = options_.host_core->sorted_neighbor_degrees(g);
-  } else {
-    // Host degrees never change while the verifier lives, so sort each
-    // device's neighbor degrees once and serve every later query (same
-    // candidate or not) from the memo — the csr core precomputes the same
-    // sequence at build time.
-    if (host_degree_memo_offset_.empty()) {
-      host_degree_memo_offset_.assign(g_.vertex_count(), kNoMemo);
-    }
-    std::size_t& off = host_degree_memo_offset_[g];
-    if (off == kNoMemo) {
-      off = host_degree_memo_.size();
-      for (const auto& e : g_.edges(g)) {
-        host_degree_memo_.push_back(
-            static_cast<std::uint32_t>(g_.degree(e.to)));
-      }
-      std::sort(host_degree_memo_.begin() +
-                    static_cast<std::ptrdiff_t>(off),
-                host_degree_memo_.end());
-    }
-    hd = {host_degree_memo_.data() + off, g_.degree(g)};
-  }
+  const std::span<const std::uint32_t> hd = g_.sorted_neighbor_degrees(g);
   // Injectively assign every pattern pin requirement to a distinct host pin
   // (extra host pins — e.g. the candidate's rail pins — stay free). Exact
   // requirements first: equal values are interchangeable, so consuming any
@@ -340,14 +308,8 @@ bool Phase2Verifier::net_compatible(Vertex s, Vertex g) {
   // out further in the host.
   if (p.is_port ? hd < p.degree : hd != p.degree) return false;
   host_label_scratch_.clear();
-  if (options_.host_core != nullptr) {
-    for (const Vertex to : options_.host_core->neighbors(g)) {
-      host_label_scratch_.push_back(options_.host_core->initial_label(to));
-    }
-  } else {
-    for (const auto& e : g_.edges(g)) {
-      host_label_scratch_.push_back(g_.initial_label(e.to));
-    }
+  for (const Vertex to : g_.neighbors(g)) {
+    host_label_scratch_.push_back(g_.initial_label(to));
   }
   std::sort(host_label_scratch_.begin(), host_label_scratch_.end());
   // Each pattern pin maps to a distinct host pin on a device of the same
@@ -690,19 +652,19 @@ Phase2Verifier::Outcome Phase2Verifier::run(
       for (Vertex v = 0; v < s_.device_count() && guess_s == kInvalidVertex;
            ++v) {
         if (st.matched_s[v] != kInvalidVertex) continue;
-        for (const auto& e : s_.edges(v)) {
-          if (s_.is_special(e.to) && special_image_[e.to] != kInvalidVertex) {
+        for (const Vertex to : s_.neighbors(v)) {
+          if (s_.is_special(to) && special_image_[to] != kInvalidVertex) {
             guess_s = v;
             // Pool: same-type host devices on the image rail, unmatched.
-            for (const auto& he : g_.edges(special_image_[e.to])) {
-              if (!g_.is_device(he.to)) continue;
-              if (g_.initial_label(he.to) != s_.initial_label(v)) continue;
-              auto sit = st.slot_of.find(he.to);
+            for (const Vertex hv : g_.neighbors(special_image_[to])) {
+              if (!g_.is_device(hv)) continue;
+              if (g_.initial_label(hv) != s_.initial_label(v)) continue;
+              auto sit = st.slot_of.find(hv);
               if (sit != st.slot_of.end()) {
                 const Slot& slot = st.slots[sit->second];
                 if (slot.excluded || slot.matched_to != kInvalidVertex) continue;
               }
-              pool.push_back(he.to);
+              pool.push_back(hv);
             }
             break;
           }
@@ -755,8 +717,6 @@ Phase2Verifier::Outcome Phase2Verifier::run(
 bool Phase2Verifier::pass(State& st, bool* progress) {
   ++st.passes;
   ++stats_.passes;
-  const CsrCore* s_core = options_.pattern_core;
-  const CsrCore* g_core = options_.host_core;
   if constexpr (kAuditEnabled) {
     for (std::uint32_t i = 0; i < st.slots.size(); ++i) {
       SUBG_AUDIT_MSG(live_test(st, i) ==
@@ -767,28 +727,18 @@ bool Phase2Verifier::pass(State& st, bool* progress) {
     }
   }
   // Edge visits this pass (frontier expansion + relabel sums, both sides).
-  // Accumulated locally and folded into stats_ once at the end — and
-  // counted by the same rule in both cores, so reports stay byte-identical
-  // across --core.
+  // Accumulated locally and folded into stats_ once at the end.
   std::size_t ops = 0;
 
   // --- 1. Frontier expansion: neighbors of safe vertices join the search.
   // Special rails never expand the frontier (they would drag their whole
   // host fanout in); their labels still contribute below. Expansion only
-  // reads the neighbor column, so the csr core skips the coefficients
-  // entirely.
+  // reads the neighbor column, never the coefficients.
   for (Vertex v = 0; v < s_.vertex_count(); ++v) {
     if (s_.is_special(v) || !st.considered_s[v] || !st.safe_s[v]) continue;
-    if (s_core != nullptr) {
-      for (const Vertex to : s_core->neighbors(v)) {
-        ++ops;
-        if (!s_core->is_special(to)) set_considered_s(st, to);
-      }
-    } else {
-      for (const auto& e : s_.edges(v)) {
-        ++ops;
-        if (!s_.is_special(e.to)) set_considered_s(st, e.to);
-      }
+    for (const Vertex to : s_.neighbors(v)) {
+      ++ops;
+      if (!s_.is_special(to)) set_considered_s(st, to);
     }
   }
   const std::size_t slot_count_before = st.slots.size();
@@ -798,16 +748,9 @@ bool Phase2Verifier::pass(State& st, bool* progress) {
     // ensure_slot may grow st.slots.
     if (!st.slots[i].safe) continue;
     const Vertex v = st.slots[i].vertex;
-    if (g_core != nullptr) {
-      for (const Vertex to : g_core->neighbors(v)) {
-        ++ops;
-        if (host_fixed_label_[to] == kNoLabel) ensure_slot(st, to);
-      }
-    } else {
-      for (const auto& e : g_.edges(v)) {
-        ++ops;
-        if (host_fixed_label_[e.to] == kNoLabel) ensure_slot(st, e.to);
-      }
+    for (const Vertex to : g_.neighbors(v)) {
+      ++ops;
+      if (host_fixed_label_[to] == kNoLabel) ensure_slot(st, to);
     }
   }
 
@@ -833,20 +776,12 @@ bool Phase2Verifier::pass(State& st, bool* progress) {
     if (s_.is_special(v) || !st.considered_s[v]) continue;
     if (st.matched_s[v] != kInvalidVertex) continue;
     Label sum = 0;
-    if (s_core != nullptr) {
-      const auto nbrs = s_core->neighbors(v);
-      const auto coeffs = s_core->coefficients(v);
-      for (std::size_t k = 0; k < nbrs.size(); ++k) {
-        ++ops;
-        const Label nl = safe_label_s(nbrs[k]);
-        if (nl != kNoLabel) sum += edge_contribution(coeffs[k], nl);
-      }
-    } else {
-      for (const auto& e : s_.edges(v)) {
-        ++ops;
-        const Label nl = safe_label_s(e.to);
-        if (nl != kNoLabel) sum += edge_contribution(e.coefficient, nl);
-      }
+    const auto nbrs = s_.neighbors(v);
+    const auto coeffs = s_.coefficients(v);
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      ++ops;
+      const Label nl = safe_label_s(nbrs[k]);
+      if (nl != kNoLabel) sum += edge_contribution(coeffs[k], nl);
     }
     new_s_.emplace_back(v, relabel(base_label(s_, v), sum));
   }
@@ -859,20 +794,12 @@ bool Phase2Verifier::pass(State& st, bool* progress) {
       bits &= bits - 1;
       const Slot& slot = st.slots[i];
       Label sum = 0;
-      if (g_core != nullptr) {
-        const auto nbrs = g_core->neighbors(slot.vertex);
-        const auto coeffs = g_core->coefficients(slot.vertex);
-        for (std::size_t k = 0; k < nbrs.size(); ++k) {
-          ++ops;
-          const Label nl = safe_label_g(nbrs[k]);
-          if (nl != kNoLabel) sum += edge_contribution(coeffs[k], nl);
-        }
-      } else {
-        for (const auto& e : g_.edges(slot.vertex)) {
-          ++ops;
-          const Label nl = safe_label_g(e.to);
-          if (nl != kNoLabel) sum += edge_contribution(e.coefficient, nl);
-        }
+      const auto nbrs = g_.neighbors(slot.vertex);
+      const auto coeffs = g_.coefficients(slot.vertex);
+      for (std::size_t k = 0; k < nbrs.size(); ++k) {
+        ++ops;
+        const Label nl = safe_label_g(nbrs[k]);
+        if (nl != kNoLabel) sum += edge_contribution(coeffs[k], nl);
       }
       new_g_.emplace_back(i, relabel(base_label(g_, slot.vertex), sum));
     }

@@ -25,10 +25,10 @@
 //
 // The fast path (Phase2Options::signature_filter, on by default) rejects
 // postulates before any relabeling runs: a cheap neighborhood signature —
-// degree plus the sorted neighbor-degree sequence (devices) or the sorted
-// neighbor-type multiset (nets), precomputed in the csr core — is checked
-// at candidate entry, on every forced singleton match, and across every
-// guess pool. The check is sound (it never rejects a pair that could
+// degree plus the sorted neighbor-degree sequence (devices, precomputed in
+// the circuit graph) or the sorted neighbor-type multiset (nets) — is
+// checked at candidate entry, on every forced singleton match, and across
+// every guess pool. The check is sound (it never rejects a pair that could
 // complete: port nets demand host degree >=, internal nets demand equality,
 // which final verification enforces anyway), so instances and reports are
 // identical with the filter off; only the work counters shrink. Refuted
@@ -53,8 +53,6 @@
 #include "util/rng.hpp"
 
 namespace subg {
-
-class CsrCore;
 
 /// Optional pass-by-pass trace (used to regenerate the paper's Table 1).
 struct Phase2Trace {
@@ -81,12 +79,6 @@ struct Phase2Options {
   /// When non-null, every pass appends the labels of both graphs' live
   /// vertices. Only use on small examples.
   Phase2Trace* trace = nullptr;
-  /// Flattened cores for the `--core=csr` layout (see graph/csr_core.hpp):
-  /// the relabel passes then iterate the SoA edge arrays. Null = legacy
-  /// CircuitGraph walks; labels, matches, and traces are bit-identical
-  /// either way (same arithmetic in the same edge order).
-  const CsrCore* pattern_core = nullptr;
-  const CsrCore* host_core = nullptr;
   /// Phase II fast path: the neighborhood-signature prefilter on postulates
   /// (candidate entry, forced singleton matches, guess pools) plus the
   /// per-candidate nogood memo over refuted (pattern, host) pairs. Off
@@ -296,7 +288,7 @@ class Phase2Verifier {
   Phase2Stats stats_;
   /// Per-pass relabel result buffers, reused across passes (cleared, never
   /// reallocated) — contents and iteration order are identical to fresh
-  /// vectors, so this is safe for bit-identical reports in BOTH cores.
+  /// vectors, so reports stay bit-identical.
   std::vector<std::pair<Vertex, Label>> new_s_;
   std::vector<std::pair<std::uint32_t, Label>> new_g_;
   /// Partition census buffers: flat (label, member) pairs, stable-sorted by
@@ -312,14 +304,6 @@ class Phase2Verifier {
   /// verdict. Refuted entries are the nogood set; cleared per candidate so
   /// counters stay deterministic across --jobs lane assignments.
   std::unordered_map<std::uint64_t, bool> compat_cache_;
-  /// Legacy-core memo: each queried host device's neighbor degrees, sorted
-  /// once (host degrees are fixed for the verifier's lifetime) and served
-  /// as a span on every later signature check — mirrors the csr core's
-  /// precomputed sorted_neighbor_degrees. offset[g] = start of g's run in
-  /// the flat store, kNoMemo until first queried.
-  static constexpr std::size_t kNoMemo = static_cast<std::size_t>(-1);
-  std::vector<std::uint32_t> host_degree_memo_;
-  std::vector<std::size_t> host_degree_memo_offset_;
   /// Signature scratch (device lower-bound matching, host net neighbor
   /// types).
   std::vector<std::uint32_t> degree_rem_scratch_;

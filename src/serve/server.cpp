@@ -49,16 +49,13 @@ extern "C" void serve_signal_handler(int) {
 }  // namespace
 
 Server::HostContext::HostContext(std::string host_name, Netlist host_netlist,
-                                 CoreMode mode,
                                  std::size_t shard_target_devices)
     : name(std::move(host_name)),
-      // An overflowing host falls back to the legacy core instead of
-      // refusing every request (the session builds with core() == nullptr
-      // and a structured core_status()): the daemon serves what it can.
+      // A host whose graph overflows the CSR offset width throws
+      // subg::Error here, which the load paths report as a load failure.
       session(HostSession::build(
           std::move(host_netlist),
-          SessionOptions{.core = mode,
-                         .shard_target_devices = shard_target_devices})) {}
+          SessionOptions{.shard_target_devices = shard_target_devices})) {}
 
 Server::Server(ServeOptions options)
     : options_(std::move(options)), pool_(options_.jobs) {
@@ -115,7 +112,6 @@ std::shared_ptr<Server::HostContext> Server::load_host_file(
   const std::string text = sink.summary();
   if (!text.empty()) std::fwrite(text.data(), 1, text.size(), stderr);
   return std::make_shared<HostContext>(name, std::move(netlist),
-                                       options_.core,
                                        options_.shard_target_devices);
 }
 
@@ -404,7 +400,6 @@ std::string Server::handle_find(const Request& request) {
   options.exhaustive = request.exhaustive;
   options.pool = &pool_;
   options.metrics = options_.metrics;
-  options.core = options_.core;
 
   // Shared lock: many finds run concurrently against one session; a patch
   // waits for them (and vice versa) on the exclusive side.
@@ -512,7 +507,6 @@ std::string Server::handle_extract(const Request& request) {
   options.match.budget = request_budget(request);
   options.match.pool = &pool_;
   options.match.metrics = options_.metrics;
-  options.match.core = options_.core;
   std::shared_lock<std::shared_mutex> session_lock(host->session_mutex);
   extract::ExtractResult extracted =
       extract::extract_gates(host->session, cells, options);
@@ -580,7 +574,9 @@ std::string Server::handle_status(const Request& request) {
       json::Value one = json::Value::object();
       one.set("host", name);
       one.set("summary", netlist_summary(session.netlist()));
-      one.set("csr_core", session.core() != nullptr);
+      // Schema v1 members kept for compatibility: every graph is the CSR
+      // layout, and patches retain no spill to compact.
+      one.set("csr_core", true);
       // Shard-plan summary, mirroring the --shard flag: absent fields mean
       // the session matches monolithically.
       json::Value shards = json::Value::object();
@@ -594,8 +590,8 @@ std::string Server::handle_status(const Request& request) {
       one.set("shards", std::move(shards));
       json::Value eco = json::Value::object();
       eco.set("patch_count", session.patch_count());
-      eco.set("spill_bytes", session.spill_bytes());
-      eco.set("last_compaction", session.last_compaction());
+      eco.set("spill_bytes", 0);
+      eco.set("last_compaction", 0);
       one.set("eco", std::move(eco));
       hosts.push(std::move(one));
     }
@@ -644,7 +640,7 @@ std::string Server::handle_load(const Request& request) {
       Design design = spice::read_string(request.netlist);
       context = std::make_shared<HostContext>(
           request.name, design.flatten(default_top(design, request.top)),
-          options_.core, options_.shard_target_devices);
+          options_.shard_target_devices);
     } else {
       context = load_host_file(request.name, request.path, request.top);
     }
@@ -668,7 +664,7 @@ std::string Server::handle_load(const Request& request) {
   json::Value result = json::Value::object();
   result.set("host", request.name);
   result.set("summary", netlist_summary(context->session.netlist()));
-  result.set("csr_core", context->session.core() != nullptr);
+  result.set("csr_core", true);  // schema v1: always the CSR layout
   return succeed(request, std::move(result));
 }
 
@@ -685,8 +681,8 @@ std::string Server::handle_patch(const Request& request) {
   ApplyStats stats;
   try {
     NetlistDelta delta = parse_delta(request.delta);
-    // Exclusive lock: the rebase swaps the session's graph/core/cache, so
-    // no find/extract/lint may be walking them. apply() itself is
+    // Exclusive lock: the rebase swaps the session's graph, cache and path
+    // labels, so no find/extract/lint may be walking them. apply() itself is
     // atomic — a throw below leaves the session byte-identical to before.
     std::unique_lock<std::shared_mutex> session_lock(host->session_mutex);
     stats = host->session.apply(delta);
@@ -706,7 +702,7 @@ std::string Server::handle_patch(const Request& request) {
   eco.set("patched_nets", stats.patched_nets);
   eco.set("renames", stats.renames);
   eco.set("invalidated_labels", stats.invalidated_labels);
-  eco.set("compactions", stats.compactions);
+  eco.set("compactions", 0);  // schema v1: patches never compact
   result.set("eco", std::move(eco));
   result.set("patch_count", host->session.patch_count());
   return succeed(request, std::move(result));

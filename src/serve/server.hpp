@@ -1,11 +1,10 @@
 // The subgemini match server: load hosts once, answer many requests.
 //
 // A library sweep or an interactive front end pays the host-side setup
-// (parse, CircuitGraph, CsrCore flatten, Phase I label rounds) once per
-// host, not once per query: the daemon keeps each loaded host's graph,
-// flattened core, and HostLabelCache warm, and every `find` against it
-// reuses them through the same MatchOptions::host_core / host_cache hooks
-// the extract sweep uses.
+// (parse, CircuitGraph, Phase I label rounds, path labels) once per host,
+// not once per query: the daemon keeps each loaded host's HostSession
+// warm, and every `find` against it reuses the session's graph, label
+// cache and path labels (HostSession::configure).
 //
 // Robustness model (the reason this is a subsystem and not a loop):
 //
@@ -52,7 +51,6 @@
 #include "netlist/netlist.hpp"
 #include "serve/protocol.hpp"
 #include "session/session.hpp"
-#include "util/core_mode.hpp"
 #include "util/thread_pool.hpp"
 
 namespace subg::obs {
@@ -79,7 +77,6 @@ struct ServeOptions {
   double request_timeout = 0;
   /// ThreadPool lanes for match work (shared by all workers); 0 = hardware.
   std::size_t jobs = 1;
-  CoreMode core = CoreMode::kCsr;
   /// Phase I host sharding for every session the server builds (the
   /// --shard flag; see SessionOptions::shard_target_devices). 0 = off.
   std::size_t shard_target_devices = 0;
@@ -120,7 +117,7 @@ class Server {
 
  private:
   /// Everything kept warm for one loaded host: a HostSession (netlist +
-  /// graph + csr core + label cache, session/session.hpp). Reads (find,
+  /// graph + label cache + path labels, session/session.hpp). Reads (find,
   /// extract, lint, status) take the session lock shared; `patch` takes it
   /// exclusive while it rebases the session in place. Concurrent requests
   /// share a context through shared_ptr, so a context is never destroyed
@@ -132,7 +129,7 @@ class Server {
     /// reads (the label cache inside has its own finer-grained mutex).
     std::shared_mutex session_mutex;
 
-    HostContext(std::string host_name, Netlist host_netlist, CoreMode mode,
+    HostContext(std::string host_name, Netlist host_netlist,
                 std::size_t shard_target_devices);
     HostContext(const HostContext&) = delete;
     HostContext& operator=(const HostContext&) = delete;

@@ -9,28 +9,12 @@
 
 namespace subg {
 
-namespace {
-
-/// Build a fresh core when the graph fits `max_edges`; otherwise leave the
-/// core null and report the refusal. Shared by build() and apply().
-RunStatus core_capacity(const CircuitGraph& graph, std::size_t max_edges) {
-  return CsrCore::capacity_status(graph, max_edges);
-}
-
-}  // namespace
-
 HostSession HostSession::build(Netlist netlist, SessionOptions options) {
   HostSession session;
   session.options_ = options;
   session.netlist_ = std::make_unique<Netlist>(std::move(netlist));
   session.graph_ = std::make_unique<CircuitGraph>(*session.netlist_);
   session.cache_ = std::make_unique<HostLabelCache>(*session.graph_);
-  if (options.core == CoreMode::kCsr) {
-    session.core_status_ = core_capacity(*session.graph_, options.max_core_edges);
-    if (session.core_status_.complete()) {
-      session.core_ = std::make_unique<CsrCore>(*session.graph_);
-    }
-  }
   if (options.shard_target_devices > 0) {
     session.shards_ = std::make_unique<ShardPlan>(ShardPlan::build(
         *session.graph_, {.target_devices = options.shard_target_devices,
@@ -38,14 +22,9 @@ HostSession HostSession::build(Netlist netlist, SessionOptions options) {
   }
   // Supplemental path labels, built once per session and shared by every
   // match (configure() wires them into MatchOptions::host_path_labels).
-  // The core overload is preferred only as the faster walk; counts are
-  // bit-identical either way.
   session.paths_ = std::make_unique<analyze::PathLabels>(
-      session.core_ != nullptr
-          ? analyze::build_path_labels(*session.core_, *session.netlist_,
-                                       analyze::Side::kHost)
-          : analyze::build_path_labels(*session.graph_, *session.netlist_,
-                                       analyze::Side::kHost));
+      analyze::build_path_labels(*session.graph_, *session.netlist_,
+                                 analyze::Side::kHost));
   return session;
 }
 
@@ -113,16 +92,6 @@ ApplyStats HostSession::apply(const NetlistDelta& delta) {
     }
   }
 
-  // Capacity is re-checked against the edited graph: a patch pushing the
-  // edge count past the budget drops the core (structured kTruncated
-  // status, legacy matching) instead of corrupting or aborting.
-  RunStatus new_core_status;
-  bool want_core = false;
-  if (options_.core == CoreMode::kCsr) {
-    new_core_status = core_capacity(*new_graph, options_.max_core_edges);
-    want_core = new_core_status.complete();
-  }
-
   ApplyStats stats;
   stats.patched_devices = fx.device_ops;
   stats.patched_nets = fx.net_ops;
@@ -153,32 +122,8 @@ ApplyStats HostSession::apply(const NetlistDelta& delta) {
   cache_ = std::move(new_cache);
   paths_ = std::move(new_paths);
   shards_ = std::move(new_shards);
-  core_status_ = new_core_status;
-  if (want_core) {
-    if (core_ != nullptr) {
-      core_->rebuild(*graph_);  // refill retained storage (the spill path)
-    } else {
-      core_ = std::make_unique<CsrCore>(*graph_);
-    }
-  } else {
-    core_.reset();
-  }
   ++patch_count_;
-  if (core_ != nullptr &&
-      core_->spill_bytes() > options_.spill_compaction_bytes) {
-    core_->shrink();
-    stats.compactions = 1;
-    last_compaction_ = patch_count_;
-  }
   if constexpr (kAuditEnabled) {
-    if (core_ != nullptr) {
-      // A17 — patched-core fidelity: the in-place refill must be
-      // element-wise identical to a cold flatten of the edited graph.
-      const CsrCore cold(*graph_);
-      SUBG_AUDIT_MSG(core_->structurally_equal(cold),
-                     "session audit (A17): patched csr core diverged from "
-                     "a cold rebuild of the edited host");
-    }
     // A19 — path-label rebase fidelity: dirty-cone recompute + pedigree
     // copy must be bit-identical to a cold build over the edited host.
     const analyze::PathLabels cold_paths =
@@ -192,16 +137,13 @@ ApplyStats HostSession::apply(const NetlistDelta& delta) {
   totals_.patched_nets += stats.patched_nets;
   totals_.renames += stats.renames;
   totals_.invalidated_labels += stats.invalidated_labels;
-  totals_.compactions += stats.compactions;
   return stats;
 }
 
 void HostSession::configure(MatchOptions& options) {
   options.phase1.host_cache = cache_.get();
   options.phase1.shards = shards_.get();
-  options.host_core = core_.get();
   options.host_path_labels = paths_.get();
-  if (core_ == nullptr) options.core = CoreMode::kLegacy;
 }
 
 MatchReport find_in_session(const Netlist& pattern, HostSession& session,
@@ -216,7 +158,7 @@ void record_eco_stats(obs::Metrics* metrics, const ApplyStats& stats) {
   obs::count(metrics, "eco.patched_nets", stats.patched_nets);
   obs::count(metrics, "eco.renames", stats.renames);
   obs::count(metrics, "eco.invalidated_labels", stats.invalidated_labels);
-  obs::count(metrics, "eco.compactions", stats.compactions);
+  obs::count(metrics, "eco.compactions", 0);
 }
 
 }  // namespace subg

@@ -5,7 +5,7 @@
 // unordered_maps) per round is pure heap churn on the hot path. The arena
 // hands out typed spans from one contiguous buffer instead.
 //
-// Lifetime rules (see DESIGN.md "CSR core"):
+// Lifetime rules (see DESIGN.md §5, "Arena-backed relabel scratch"):
 //   1. reserve() the worst-case byte footprint ONCE, before the round
 //      loop. take() never grows the buffer — growth would invalidate the
 //      spans already handed out this round — so an undersized arena is a

@@ -14,7 +14,6 @@
 //   --pattern-top=NAME   top module of the pattern / first input
 //   --fail-on=warn|error severity threshold for a nonzero lint exit
 //   --lint               run the lint checks before extraction
-//   --core=csr|legacy    matching-core layout (csr is the default)
 //   --shard=on|off|N     Phase I host sharding: off (default), on (regions
 //                        of at most 65536 devices), or an explicit region
 //                        size N >= 1; results are byte-identical either way
@@ -40,7 +39,6 @@
 #include <vector>
 
 #include "util/budget.hpp"
-#include "util/core_mode.hpp"
 #include "util/phase2_filter.hpp"
 
 namespace subg::cli {
@@ -71,10 +69,6 @@ struct GlobalOptions {
   FailOn fail_on = FailOn::kError;
   /// --lint: run the lint checks as a preflight (extract).
   bool lint = false;
-  /// --core: matching-core layout (graph/csr_core.hpp). csr (the default)
-  /// runs the flattened SoA sweeps; legacy walks the CircuitGraph directly.
-  /// Reports are byte-identical either way.
-  CoreMode core = CoreMode::kCsr;
   /// --shard: Phase I host sharding (graph/shard_plan.hpp). 0 (the default,
   /// --shard=off) matches the whole host as one monolith; --shard=on uses
   /// 65536-device regions; --shard=N sets the region size explicitly.

@@ -1,10 +1,10 @@
 // The analyzer as the matcher consumes it: the 12-ring-vs-6-ring decoy A/B
 // (path labels refute degree-blind decoys with zero Phase II guesses), the
 // fat-ring A/B (backtracking eliminated where the signature filter alone
-// cannot), csr/legacy and jobs=1/jobs=8 counter identity for every new
-// counter, symmetry-aware exhaustive enumeration, infeasibility
-// short-circuits in find and extract, and ECO-patched-session identity for
-// the rebased path labels.
+// cannot), jobs=1/jobs=8 counter identity for every new counter,
+// symmetry-aware exhaustive enumeration, infeasibility short-circuits in
+// find and extract, and ECO-patched-session identity for the rebased path
+// labels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -119,31 +119,28 @@ TEST(AnalyzeMatch, LongRingDecoysRefutedWithoutEnteringTheCensus) {
   Cmos3 c;
   const Netlist pattern = ring_pattern(c, 6);
   const Netlist host = long_ring_host(c, /*truth=*/0, /*decoys=*/3);
-  for (CoreMode core : {CoreMode::kCsr, CoreMode::kLegacy}) {
-    MatchOptions o;
-    o.core = core;
-    o.phase2_filter = Phase2Filter::kPaths;
-    const MatchReport paths = run(pattern, host, o);
-    o.phase2_filter = Phase2Filter::kOn;
-    const MatchReport sig = run(pattern, host, o);
+  MatchOptions o;
+  o.phase2_filter = Phase2Filter::kPaths;
+  const MatchReport paths = run(pattern, host, o);
+  o.phase2_filter = Phase2Filter::kOn;
+  const MatchReport sig = run(pattern, host, o);
 
-    // Both are sound: a decoy-only host holds nothing.
-    EXPECT_EQ(paths.count(), 0u);
-    EXPECT_EQ(sig.count(), 0u);
-    EXPECT_TRUE(paths.status.complete());
+  // Both are sound: a decoy-only host holds nothing.
+  EXPECT_EQ(paths.count(), 0u);
+  EXPECT_EQ(sig.count(), 0u);
+  EXPECT_TRUE(paths.status.complete());
 
-    // The acceptance bar: path labels refute every candidate statically —
-    // zero guesses AND zero relabeling work. The signature filter cannot
-    // see the decoys at all (every degree multiset agrees), so it burns
-    // census passes to reject each one.
-    EXPECT_EQ(paths.phase2.guesses, 0u);
-    EXPECT_EQ(paths.phase2.passes, 0u);
-    EXPECT_EQ(paths.phase2.expansion_ops, 0u);
-    EXPECT_GT(paths.phase2.path_label_prunes, 0u);
-    EXPECT_EQ(sig.phase2.domain_prunes, 0u);
-    EXPECT_EQ(sig.phase2.path_label_prunes, 0u);
-    EXPECT_GT(sig.phase2.expansion_ops, 0u);
-  }
+  // The acceptance bar: path labels refute every candidate statically —
+  // zero guesses AND zero relabeling work. The signature filter cannot
+  // see the decoys at all (every degree multiset agrees), so it burns
+  // census passes to reject each one.
+  EXPECT_EQ(paths.phase2.guesses, 0u);
+  EXPECT_EQ(paths.phase2.passes, 0u);
+  EXPECT_EQ(paths.phase2.expansion_ops, 0u);
+  EXPECT_GT(paths.phase2.path_label_prunes, 0u);
+  EXPECT_EQ(sig.phase2.domain_prunes, 0u);
+  EXPECT_EQ(sig.phase2.path_label_prunes, 0u);
+  EXPECT_GT(sig.phase2.expansion_ops, 0u);
 }
 
 TEST(AnalyzeMatch, LongRingDecoysDoNotDisturbTrueMatches) {
@@ -191,22 +188,6 @@ TEST(AnalyzeMatch, FatRingDecoysStopCausingBacktracks) {
 }
 
 // --- identity contracts for the new counters --------------------------------
-
-TEST(AnalyzeMatch, ReportsByteIdenticalAcrossCores) {
-  Cmos3 c;
-  const Netlist pattern = ring_pattern(c, 6);
-  const Netlist host = fat_ring_host(c, 2, 4);
-  for (Phase2Filter filter :
-       {Phase2Filter::kPaths, Phase2Filter::kOn, Phase2Filter::kOff}) {
-    MatchOptions o;
-    o.phase2_filter = filter;
-    o.core = CoreMode::kCsr;
-    const std::string csr = report_json(run(pattern, host, o));
-    o.core = CoreMode::kLegacy;
-    const std::string legacy = report_json(run(pattern, host, o));
-    EXPECT_EQ(csr, legacy) << "filter " << static_cast<int>(filter);
-  }
-}
 
 TEST(AnalyzeMatch, ReportsByteIdenticalAcrossJobs) {
   Cmos3 c;
@@ -366,25 +347,6 @@ TEST(AnalyzeMatch, PatchedSessionLabelsAndReportsMatchColdBuild) {
   // (kPaths and the certificate check are the defaults here).
   EXPECT_EQ(report_json(find_in_session(pattern, session)),
             report_json(find_in_session(pattern, cold)));
-}
-
-TEST(AnalyzeMatch, LegacyCoreSessionAgreesAfterPatch) {
-  gen::Generated g = gen::logic_soup(60, 99);
-  cells::CellLibrary lib;
-  const Netlist pattern = lib.pattern("nand2");
-
-  HostSession csr = HostSession::build(g.netlist);
-  SessionOptions so;
-  so.core = CoreMode::kLegacy;
-  HostSession legacy = HostSession::build(g.netlist, so);
-  (void)csr.apply(parse_delta(kNandDelta));
-  (void)legacy.apply(parse_delta(kNandDelta));
-
-  EXPECT_EQ(csr.path_labels().counts, legacy.path_labels().counts);
-  MatchOptions lo;
-  lo.core = CoreMode::kLegacy;
-  EXPECT_EQ(report_json(find_in_session(pattern, csr)),
-            report_json(find_in_session(pattern, legacy, lo)));
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "baseline/baseline.hpp"
 #include "cells/cells.hpp"
 #include "gen/generators.hpp"
@@ -131,8 +134,10 @@ TEST(Baseline, ExhaustiveEqualsPlainWhenInstancesAreDisjoint) {
   EXPECT_EQ(ex.find_all().count(), 6u);
 }
 
+// std::string, not const char*: gtest prints a char pointer parameter's
+// address into the test name, which would differ on every run.
 class CrossValidation
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(CrossValidation, AllThreeMatchersAgree) {
   // Property: on generated workloads, SubGemini, Ullmann and VF2 report the
@@ -180,9 +185,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("inv", "nand2", "nor2", "xor2",
                                          "sram6t", "fulladder"),
                        ::testing::Values(0, 1, 2)),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_w" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      return std::get<0>(param_info.param) + "_w" +
+             std::to_string(std::get<1>(param_info.param));
     });
 
 }  // namespace

@@ -159,10 +159,10 @@ TEST(ShardPlan, CsrSliceMatchesGraphAdjacency) {
     for (std::size_t i = 0; i < s.devices.size(); ++i) {
       const Vertex d = s.devices[i];
       std::vector<std::uint32_t> expect;
-      for (const auto& e : graph.edges(d)) {
-        auto it = local.find(e.to);
+      for (const Vertex to : graph.neighbors(d)) {
+        auto it = local.find(to);
         ASSERT_NE(it, local.end())
-            << "device " << d << " touches net " << e.to
+            << "device " << d << " touches net " << to
             << " that is neither owned nor an anchor ref of its shard";
         expect.push_back(it->second);
       }

@@ -530,6 +530,13 @@ struct CorpusCase {
   int warnings;
 };
 
+/// Printed into the test name (gtest would dump the struct's raw bytes,
+/// pointers included, which differ on every run).
+void PrintTo(const CorpusCase& c, std::ostream* os) {
+  *os << c.stem << " top " << c.top << ", " << c.errors << " errors, "
+      << c.warnings << " warnings";
+}
+
 class LintCorpus : public ::testing::TestWithParam<CorpusCase> {};
 
 /// Byte-compare `actual` against a golden file; SUBG_UPDATE_GOLDENS=1

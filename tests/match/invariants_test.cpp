@@ -21,6 +21,12 @@ struct Workload {
   int which;  // 0 = adder, 1 = sram, 2 = soup
 };
 
+/// Printed into the test name (gtest would dump the struct's raw bytes,
+/// pointer included, which differ on every run).
+void PrintTo(const Workload& w, std::ostream* os) {
+  *os << w.cell << " w" << w.which;
+}
+
 class LabelInvariant1 : public ::testing::TestWithParam<Workload> {};
 
 TEST_P(LabelInvariant1, ValidPatternVerticesShareLabelsWithImages) {
@@ -62,9 +68,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Workload{"nand2", 0}, Workload{"sram6t", 1},
                       Workload{"inv", 1}, Workload{"aoi21", 2},
                       Workload{"mux2", 2}, Workload{"dff", 2}),
-    [](const auto& info) {
-      return std::string(info.param.cell) + "_w" +
-             std::to_string(info.param.which);
+    [](const auto& param_info) {
+      return std::string(param_info.param.cell) + "_w" +
+             std::to_string(param_info.param.which);
     });
 
 TEST(LabelInvariant2, ImagesShareLabelsAndSafetyEveryPass) {

@@ -16,6 +16,12 @@ struct Params {
   std::uint64_t seed;
 };
 
+/// Printed into the test name (gtest would dump the struct's raw bytes,
+/// pointer included, which differ on every run).
+void PrintTo(const Params& p, std::ostream* os) {
+  *os << p.cell << " x" << p.planted << " seed " << p.seed;
+}
+
 class PlantedInstances : public ::testing::TestWithParam<Params> {};
 
 TEST_P(PlantedInstances, AllPlantedInstancesAreFound) {
@@ -67,9 +73,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Params{"tgate", 5, 13}, Params{"oai21", 4, 14},
                       Params{"xnor2", 3, 15}, Params{"aoi22", 3, 16},
                       Params{"nand4", 3, 17}, Params{"nor3", 4, 18}),
-    [](const auto& info) {
-      return std::string(info.param.cell) + "_x" +
-             std::to_string(info.param.planted);
+    [](const auto& param_info) {
+      return std::string(param_info.param.cell) + "_x" +
+             std::to_string(param_info.param.planted);
     });
 
 TEST(MatcherInvariants, Phase1CandidateCountBoundsPhase2Work) {

@@ -6,9 +6,9 @@
 // final verification) would reject anyway, and trail undo must restore
 // exactly the state a full snapshot would have — so every observable result
 // (instances, their order, the report counters that predate the fast path)
-// is identical with the filter on and off, in both core layouts, at every
-// --jobs value. The tests compare whole reports across those axes on
-// workloads chosen to drive the guess/backtrack path hard.
+// is identical with the filter on and off, at every --jobs value. The
+// tests compare whole reports across those axes on workloads chosen to
+// drive the guess/backtrack path hard.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -68,11 +68,10 @@ void expect_identical(const MatchReport& a, const MatchReport& b) {
 }
 
 MatchReport run(const Netlist& pattern, const Netlist& host,
-                Phase2Filter filter, CoreMode core = CoreMode::kCsr,
-                std::size_t jobs = 1, bool exhaustive = false) {
+                Phase2Filter filter, std::size_t jobs = 1,
+                bool exhaustive = false) {
   MatchOptions options;
   options.phase2_filter = filter;
-  options.core = core;
   options.jobs = jobs;
   options.exhaustive = exhaustive;
   return SubgraphMatcher(pattern, host, options).find_all();
@@ -84,19 +83,17 @@ TEST(Phase2FastPath, FilterIdentityOnSymmetricRings) {
   Cmos3 c;
   Netlist pattern = ring_pattern(c, 6);
   Netlist host = fat_ring_host(c);
-  for (const CoreMode core : {CoreMode::kCsr, CoreMode::kLegacy}) {
-    const MatchReport off = run(pattern, host, Phase2Filter::kOff, core);
-    const MatchReport on = run(pattern, host, Phase2Filter::kOn, core);
-    expect_identical(off, on);
-    ASSERT_EQ(on.count(), 1u);
-    // The pre-fast-path counters agree too: a sound prune only skips work
-    // that would have FAILED, so matched candidates see identical passes.
-    EXPECT_EQ(on.phase2.candidates_matched, off.phase2.candidates_matched);
-    // And the filter really fired: degree-3 f1 can never image a degree-2
-    // internal ring net.
-    EXPECT_GE(on.phase2.domain_prunes, 1u);
-    EXPECT_LT(on.phase2.expansion_ops, off.phase2.expansion_ops);
-  }
+  const MatchReport off = run(pattern, host, Phase2Filter::kOff);
+  const MatchReport on = run(pattern, host, Phase2Filter::kOn);
+  expect_identical(off, on);
+  ASSERT_EQ(on.count(), 1u);
+  // The pre-fast-path counters agree too: a sound prune only skips work
+  // that would have FAILED, so matched candidates see identical passes.
+  EXPECT_EQ(on.phase2.candidates_matched, off.phase2.candidates_matched);
+  // And the filter really fired: degree-3 f1 can never image a degree-2
+  // internal ring net.
+  EXPECT_GE(on.phase2.domain_prunes, 1u);
+  EXPECT_LT(on.phase2.expansion_ops, off.phase2.expansion_ops);
 }
 
 TEST(Phase2FastPath, FilterIdentityOnGeneratedWorkloads) {
@@ -147,8 +144,8 @@ TEST(Phase2FastPath, FilterIdentityUnderExhaustiveEnumeration) {
     for (int k = 0; k < 4; ++k) host.add_device(c.nmos, {h1, hg, h2});
   }
 
-  const MatchReport off = run(pattern, host, Phase2Filter::kOff, CoreMode::kCsr, 1, true);
-  const MatchReport on = run(pattern, host, Phase2Filter::kOn, CoreMode::kCsr, 1, true);
+  const MatchReport off = run(pattern, host, Phase2Filter::kOff, 1, true);
+  const MatchReport on = run(pattern, host, Phase2Filter::kOn, 1, true);
   expect_identical(off, on);
   // C(4,3) device sets per copy, three copies.
   EXPECT_EQ(on.count(), 12u);
@@ -174,19 +171,17 @@ TEST(Phase2FastPath, TwelveRingHostIsSignatureImmune) {
   Netlist host = c.netlist("main");
   add_ring(c, host, 12, "h");
 
-  for (const CoreMode core : {CoreMode::kCsr, CoreMode::kLegacy}) {
-    const MatchReport report = run(pattern, host, Phase2Filter::kOn, core);
-    EXPECT_EQ(report.count(), 0u);
-    EXPECT_EQ(report.phase2.domain_prunes, 0u);
-    EXPECT_EQ(report.phase2.nogood_hits, 0u);
-    EXPECT_TRUE(report.status.complete());
-    const MatchReport off = run(pattern, host, Phase2Filter::kOff, core);
-    EXPECT_EQ(off.count(), 0u);
-    EXPECT_EQ(report.phase2.guesses, off.phase2.guesses);
-    EXPECT_EQ(report.phase2.backtracks, off.phase2.backtracks);
-    EXPECT_EQ(report.phase2.expansion_ops, off.phase2.expansion_ops);
-    EXPECT_EQ(report.phase2.passes, off.phase2.passes);
-  }
+  const MatchReport report = run(pattern, host, Phase2Filter::kOn);
+  EXPECT_EQ(report.count(), 0u);
+  EXPECT_EQ(report.phase2.domain_prunes, 0u);
+  EXPECT_EQ(report.phase2.nogood_hits, 0u);
+  EXPECT_TRUE(report.status.complete());
+  const MatchReport off = run(pattern, host, Phase2Filter::kOff);
+  EXPECT_EQ(off.count(), 0u);
+  EXPECT_EQ(report.phase2.guesses, off.phase2.guesses);
+  EXPECT_EQ(report.phase2.backtracks, off.phase2.backtracks);
+  EXPECT_EQ(report.phase2.expansion_ops, off.phase2.expansion_ops);
+  EXPECT_EQ(report.phase2.passes, off.phase2.passes);
 }
 
 TEST(Phase2FastPath, NogoodMemoAnswersSiblingBranchesFromCache) {
@@ -218,19 +213,17 @@ TEST(Phase2FastPath, NogoodMemoAnswersSiblingBranchesFromCache) {
   host.add_device(c.nmos, {m3, hg, m4}, "d");
   host.add_device(c.nmos, {m3, hg, m4p}, "e");
 
-  for (const CoreMode core : {CoreMode::kCsr, CoreMode::kLegacy}) {
-    const MatchReport on = run(pattern, host, Phase2Filter::kOn, core, 1, true);
-    EXPECT_EQ(on.count(), 1u);
-    EXPECT_GE(on.phase2.guesses, 1u);
-    EXPECT_GE(on.phase2.backtracks, 1u);
-    EXPECT_GE(on.phase2.trail_undos, 1u);
-    EXPECT_GE(on.phase2.domain_prunes, 1u);
-    EXPECT_GE(on.phase2.nogood_hits, 1u);
-    EXPECT_TRUE(on.status.complete());
-    // Soundness by identity: memo and filter change work, never results.
-    const MatchReport off = run(pattern, host, Phase2Filter::kOff, core, 1, true);
-    expect_identical(off, on);
-  }
+  const MatchReport on = run(pattern, host, Phase2Filter::kOn, 1, true);
+  EXPECT_EQ(on.count(), 1u);
+  EXPECT_GE(on.phase2.guesses, 1u);
+  EXPECT_GE(on.phase2.backtracks, 1u);
+  EXPECT_GE(on.phase2.trail_undos, 1u);
+  EXPECT_GE(on.phase2.domain_prunes, 1u);
+  EXPECT_GE(on.phase2.nogood_hits, 1u);
+  EXPECT_TRUE(on.status.complete());
+  // Soundness by identity: memo and filter change work, never results.
+  const MatchReport off = run(pattern, host, Phase2Filter::kOff, 1, true);
+  expect_identical(off, on);
 }
 
 // --- enumerate() dedup semantics --------------------------------------------
@@ -279,7 +272,7 @@ TEST(Phase2FastPath, EnumerateKeepsExternalNetOrientations) {
 
   // Matcher-level exhaustive counting stays device-set based.
   const MatchReport ex =
-      run(pattern, host, Phase2Filter::kOn, CoreMode::kCsr, 1, true);
+      run(pattern, host, Phase2Filter::kOn, 1, true);
   EXPECT_EQ(ex.count(), 1u);
 }
 
@@ -293,8 +286,8 @@ TEST(Phase2FastPath, JobsIdentityOnGuessHeavyWorkloads) {
   Netlist pattern = ring_pattern(c, 6);
   Netlist host = fat_ring_host(c);
 
-  const MatchReport serial = run(pattern, host, Phase2Filter::kOn, CoreMode::kCsr, 1);
-  const MatchReport parallel = run(pattern, host, Phase2Filter::kOn, CoreMode::kCsr, 8);
+  const MatchReport serial = run(pattern, host, Phase2Filter::kOn, 1);
+  const MatchReport parallel = run(pattern, host, Phase2Filter::kOn, 8);
   expect_identical(serial, parallel);
   EXPECT_EQ(serial.phase2.domain_prunes, parallel.phase2.domain_prunes);
   EXPECT_EQ(serial.phase2.nogood_hits, parallel.phase2.nogood_hits);

@@ -77,7 +77,7 @@ TEST_P(SelfMatch, TwoDisjointCopiesFoundTwice) {
 INSTANTIATE_TEST_SUITE_P(
     AllCells, SelfMatch,
     ::testing::ValuesIn(cells::CellLibrary::all_cells()),
-    [](const auto& info) { return info.param; });
+    [](const auto& param_info) { return param_info.param; });
 
 }  // namespace
 }  // namespace subg

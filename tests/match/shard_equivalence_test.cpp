@@ -4,9 +4,9 @@
 // Phase I's host-side consistency sweeps into per-region lanes with a
 // round-0 bulk-skip prefilter, and changes NOTHING else. Reports —
 // instances, their order, every Phase I/II statistic, the serialized JSON —
-// are byte-identical to the monolithic sweep, in both cores, at every jobs
-// value, at every region size (including adversarially tiny ones that
-// splinter the host into hundreds of shards), and through ECO patches.
+// are byte-identical to the monolithic sweep, at every jobs value, at
+// every region size (including adversarially tiny ones that splinter the
+// host into hundreds of shards), and through ECO patches.
 // These tests pin that contract plus the prefilter's soundness: a shard
 // skipped for a kind can never own the image of a match.
 #include <gtest/gtest.h>
@@ -36,14 +36,12 @@ std::string report_json(MatchReport report) {
 
 MatchReport run(const Netlist& pattern, const Netlist& host,
                 std::size_t shard_target, std::size_t anchor_fanout,
-                CoreMode core, std::size_t jobs) {
+                std::size_t jobs) {
   SessionOptions so;
-  so.core = core;
   so.shard_target_devices = shard_target;
   so.shard_anchor_fanout = anchor_fanout;
   HostSession session = HostSession::build(host, so);
   MatchOptions opts;
-  opts.core = core;
   opts.jobs = jobs;
   return find_in_session(pattern, session, opts);
 }
@@ -70,27 +68,24 @@ TEST(ShardEquivalence, ShardedReportEqualsMonolithicEverywhere) {
   std::size_t instances_total = 0;
   for (const Workload& w : ws) {
     const Netlist& pattern = lib.pattern(w.cell);
-    for (const CoreMode core : {CoreMode::kCsr, CoreMode::kLegacy}) {
-      const std::string mono = report_json(
-          run(pattern, w.g.netlist, 0, 64, core, 1));
-      // Region sizes from "whole host in one shard" down to "a shard per
-      // handful of devices"; anchor fanouts low enough to anchor ordinary
-      // logic nets. Every combination must reproduce the monolithic bytes.
-      for (const std::size_t target : {std::size_t{1} << 16, std::size_t{64},
-                                       std::size_t{7}}) {
-        for (const std::size_t fanout : {std::size_t{64}, std::size_t{5}}) {
-          for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-            SCOPED_TRACE(std::string(w.cell) + " core=" +
-                         std::string(to_string(core)) + " target=" +
-                         std::to_string(target) + " fanout=" +
-                         std::to_string(fanout) + " jobs=" +
-                         std::to_string(jobs));
-            MatchReport r =
-                run(pattern, w.g.netlist, target, fanout, core, jobs);
-            EXPECT_GT(r.phase1.shards_total, 0u);
-            instances_total += r.instances.size();
-            EXPECT_EQ(report_json(std::move(r)), mono);
-          }
+    const std::string mono = report_json(
+        run(pattern, w.g.netlist, 0, 64, 1));
+    // Region sizes from "whole host in one shard" down to "a shard per
+    // handful of devices"; anchor fanouts low enough to anchor ordinary
+    // logic nets. Every combination must reproduce the monolithic bytes.
+    for (const std::size_t target : {std::size_t{1} << 16, std::size_t{64},
+                                     std::size_t{7}}) {
+      for (const std::size_t fanout : {std::size_t{64}, std::size_t{5}}) {
+        for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
+          SCOPED_TRACE(std::string(w.cell) + " target=" +
+                       std::to_string(target) + " fanout=" +
+                       std::to_string(fanout) + " jobs=" +
+                       std::to_string(jobs));
+          MatchReport r =
+              run(pattern, w.g.netlist, target, fanout, jobs);
+          EXPECT_GT(r.phase1.shards_total, 0u);
+          instances_total += r.instances.size();
+          EXPECT_EQ(report_json(std::move(r)), mono);
         }
       }
     }
@@ -102,8 +97,7 @@ TEST(ShardEquivalence, ShardedReportEqualsMonolithicEverywhere) {
 TEST(ShardEquivalence, MonolithicRunsReportZeroShardCounters) {
   cells::CellLibrary lib;
   gen::Generated g = gen::soc_grid(4, 4, 4, 1);
-  MatchReport r = run(lib.pattern("nand2"), g.netlist, 0, 64,
-                      CoreMode::kCsr, 1);
+  MatchReport r = run(lib.pattern("nand2"), g.netlist, 0, 64, 1);
   EXPECT_EQ(r.phase1.shards_total, 0u);
   EXPECT_EQ(r.phase1.shards_skipped, 0u);
   EXPECT_EQ(r.phase1.shards_prefilter_rejects, 0u);
@@ -113,20 +107,17 @@ TEST(ShardEquivalence, ShardCountersAreDeterministicAcrossJobsAndCores) {
   cells::CellLibrary lib;
   gen::Generated g = gen::soc_grid(12, 6, 8, 2);
   const Netlist& pattern = lib.pattern("nand2");
-  MatchReport first =
-      run(pattern, g.netlist, 64, 5, CoreMode::kCsr, 1);
+  MatchReport first = run(pattern, g.netlist, 64, 5, 1);
   EXPECT_GT(first.phase1.shards_total, 0u);
   // The pad-ring shards share no round-0 label with a CMOS pattern: the
   // prefilter must fire on this workload, not just stay sound.
   EXPECT_GT(first.phase1.shards_prefilter_rejects, 0u);
-  for (const CoreMode core : {CoreMode::kCsr, CoreMode::kLegacy}) {
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-      MatchReport r = run(pattern, g.netlist, 64, 5, core, jobs);
-      EXPECT_EQ(r.phase1.shards_total, first.phase1.shards_total);
-      EXPECT_EQ(r.phase1.shards_skipped, first.phase1.shards_skipped);
-      EXPECT_EQ(r.phase1.shards_prefilter_rejects,
-                first.phase1.shards_prefilter_rejects);
-    }
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
+    MatchReport r = run(pattern, g.netlist, 64, 5, jobs);
+    EXPECT_EQ(r.phase1.shards_total, first.phase1.shards_total);
+    EXPECT_EQ(r.phase1.shards_skipped, first.phase1.shards_skipped);
+    EXPECT_EQ(r.phase1.shards_prefilter_rejects,
+              first.phase1.shards_prefilter_rejects);
   }
 }
 

@@ -2,13 +2,12 @@
 //
 // The contract (session/session.hpp): after apply(), a session is
 // indistinguishable from HostSession::build over the edited netlist. Not
-// "same matches" — byte-identical serialized reports, in both cores, at
-// every jobs value, no matter how the label cache was warmed before the
-// patch. These tests drive that claim with 100+ seeded random delta
-// scripts over the Fig-5-shaped generator workloads; the eco-gate CI leg
-// runs them under ASan/UBSan (ctest -L eco) and the TSan leg picks them
-// up through the concurrency label (jobs=8 finds against the shared
-// rebased cache).
+// "same matches" — byte-identical serialized reports, at every jobs
+// value, no matter how the label cache was warmed before the patch. These
+// tests drive that claim with 100+ seeded random delta scripts over the
+// Fig-5-shaped generator workloads; the eco-gate CI leg runs them under
+// ASan/UBSan (ctest -L eco) and the TSan leg picks them up through the
+// concurrency label (jobs=8 finds against the shared rebased cache).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -153,17 +152,14 @@ TEST(EcoEquivalence, PatchedEqualsColdOver104SeededScripts) {
     const NetlistDelta delta = random_delta(w.g.netlist, seed, 1 + seed % 5);
 
     MatchOptions opts;
-    opts.core = (seed % 2) != 0 ? CoreMode::kLegacy : CoreMode::kCsr;
     opts.jobs = (seed % 4) == 2 ? 8 : 1;
-    SessionOptions so;
-    so.core = opts.core;
 
     Netlist edited = w.g.netlist;
     apply_delta(edited, delta);
-    HostSession cold = HostSession::build(std::move(edited), so);
+    HostSession cold = HostSession::build(std::move(edited));
     const MatchReport cold_report = find_in_session(pattern, cold, opts);
 
-    HostSession patched = HostSession::build(w.g.netlist, so);
+    HostSession patched = HostSession::build(w.g.netlist);
     // Warm the cache against the BASE host first — the rebase then has
     // rounds to patch, which is exactly the state cold never sees.
     (void)find_in_session(pattern, patched, opts);
@@ -203,30 +199,23 @@ TEST(EcoEquivalence, SequentialPatchesTrackColdRebuilds) {
 
 TEST(EcoEquivalence, PatchedSessionIsJobsInvariant) {
   // The --jobs contract extended to the rebased cache: parallel lanes over
-  // a patched session must reproduce the serial report byte for byte, in
-  // both cores.
+  // a patched session must reproduce the serial report byte for byte.
   gen::Generated g = gen::logic_soup(140, 23);
   cells::CellLibrary lib;
   const Netlist& pattern = lib.pattern("nor2");
   const NetlistDelta delta = random_delta(g.netlist, 77, 4);
 
-  for (const CoreMode core : {CoreMode::kCsr, CoreMode::kLegacy}) {
-    SCOPED_TRACE(core == CoreMode::kCsr ? "csr" : "legacy");
-    SessionOptions so;
-    so.core = core;
-    HostSession session = HostSession::build(g.netlist, so);
-    MatchOptions opts;
-    opts.core = core;
-    (void)find_in_session(pattern, session, opts);
-    (void)session.apply(delta);
-    opts.jobs = 1;
-    const std::string serial =
-        report_json(find_in_session(pattern, session, opts));
-    opts.jobs = 8;
-    const std::string parallel =
-        report_json(find_in_session(pattern, session, opts));
-    EXPECT_EQ(serial, parallel);
-  }
+  HostSession session = HostSession::build(g.netlist);
+  MatchOptions opts;
+  (void)find_in_session(pattern, session, opts);
+  (void)session.apply(delta);
+  opts.jobs = 1;
+  const std::string serial =
+      report_json(find_in_session(pattern, session, opts));
+  opts.jobs = 8;
+  const std::string parallel =
+      report_json(find_in_session(pattern, session, opts));
+  EXPECT_EQ(serial, parallel);
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
 // HostSession lifecycle: build, configure, apply (atomic or not at all),
-// the edge-budget overflow path, spill/compaction accounting, and the
-// cumulative session generation counters behind serve `status` and the
-// eco.* metrics.
+// and the cumulative session generation counters behind serve `status` and
+// the eco.* metrics.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "cells/cells.hpp"
 #include "gen/generators.hpp"
-#include "graph/csr_core.hpp"
 #include "match/matcher.hpp"
 #include "obs/metrics.hpp"
 #include "report/document.hpp"
@@ -49,12 +47,10 @@ TEST_F(SessionTest, BuildOwnsTheWholeBundle) {
   HostSession session = HostSession::build(g.netlist);
   EXPECT_EQ(session.netlist().device_count(), g.netlist.device_count());
   EXPECT_EQ(&session.graph().netlist(), &session.netlist());
-  ASSERT_NE(session.core(), nullptr);
-  EXPECT_EQ(&session.core()->graph(), &session.graph());
-  EXPECT_TRUE(session.core_status().complete());
+  EXPECT_EQ(&session.cache().host(), &session.graph());
+  EXPECT_EQ(session.path_labels().vertex_count, session.graph().vertex_count());
+  EXPECT_EQ(session.shards(), nullptr);
   EXPECT_EQ(session.patch_count(), 0u);
-  EXPECT_EQ(session.spill_bytes(), 0u);
-  EXPECT_EQ(session.last_compaction(), 0u);
   EXPECT_EQ(session.totals().patched_devices, 0u);
 }
 
@@ -63,21 +59,12 @@ TEST_F(SessionTest, ConfigureWiresTheSharedStructures) {
   MatchOptions opts;
   session.configure(opts);
   EXPECT_EQ(opts.phase1.host_cache, &session.cache());
-  EXPECT_EQ(opts.host_core, session.core());
-  EXPECT_EQ(opts.core, CoreMode::kCsr);  // untouched when a core exists
-
-  SessionOptions legacy_opts;
-  legacy_opts.core = CoreMode::kLegacy;
-  HostSession legacy = HostSession::build(g.netlist, legacy_opts);
-  EXPECT_EQ(legacy.core(), nullptr);
-  EXPECT_TRUE(legacy.core_status().complete());  // skipped, not refused
-  MatchOptions lopts;
-  legacy.configure(lopts);
-  EXPECT_EQ(lopts.host_core, nullptr);
-  EXPECT_EQ(lopts.core, CoreMode::kLegacy);
-  // Matching still works, and agrees with the csr session byte for byte.
-  EXPECT_EQ(report_json(find_in_session(pattern, legacy)),
-            report_json(find_in_session(pattern, session)));
+  EXPECT_EQ(opts.phase1.shards, session.shards());
+  EXPECT_EQ(opts.host_path_labels, &session.path_labels());
+  // A session-backed find reports byte-identically to a one-shot matcher
+  // that builds its own graph, cache and path labels.
+  EXPECT_EQ(report_json(find_in_session(pattern, session)),
+            report_json(SubgraphMatcher(pattern, g.netlist).find_all()));
 }
 
 TEST_F(SessionTest, ApplyPatchesAndTheNextFindSeesIt) {
@@ -142,75 +129,12 @@ TEST_F(SessionTest, InjectedPatchFaultRollsBack) {
   EXPECT_EQ(session.patch_count(), 1u);
 }
 
-TEST_F(SessionTest, EdgeBudgetOverflowFallsBackToLegacyAndRecovers) {
-  // A budget below the host's edge count: the session still builds, the
-  // core is refused with a structured status, and matches route legacy.
-  CircuitGraph probe(g.netlist);
-  const std::size_t edges = CsrCore::edge_count(probe);
-  SessionOptions tight;
-  tight.max_core_edges = edges - 1;
-  HostSession session = HostSession::build(g.netlist, tight);
-  EXPECT_EQ(session.core(), nullptr);
-  EXPECT_EQ(session.spill_bytes(), 0u);
-  EXPECT_FALSE(session.core_status().complete());
-  EXPECT_FALSE(session.core_status().reason.empty());
-  MatchOptions opts;
-  session.configure(opts);
-  EXPECT_EQ(opts.core, CoreMode::kLegacy);
-  const std::string coreless = report_json(find_in_session(pattern, session));
-
-  // Patches keep working without a core; removing a gate shrinks the host
-  // UNDER the budget, so the rebuilt session regains its csr core.
-  const std::string victim =
-      session.netlist().device_name(DeviceId(0));
-  (void)session.apply(parse_delta(
-      "{\"op\":\"remove_device\",\"name\":\"" + victim + "\"}"));
-  EXPECT_NE(session.core(), nullptr);
-  EXPECT_TRUE(session.core_status().complete());
-
-  // And the other direction: a fitting host patched PAST the budget drops
-  // the core instead of corrupting it.
-  SessionOptions exact;
-  exact.max_core_edges = edges;
-  HostSession fits = HostSession::build(g.netlist, exact);
-  ASSERT_NE(fits.core(), nullptr);
-  (void)fits.apply(parse_delta(kNandDelta));
-  EXPECT_EQ(fits.core(), nullptr);
-  EXPECT_FALSE(fits.core_status().complete());
-  // Both overflow shapes agree with each other on the base host.
-  HostSession cold = HostSession::build(g.netlist);
-  EXPECT_EQ(coreless, report_json(find_in_session(pattern, cold)));
-}
-
-TEST_F(SessionTest, CompactionReclaimsSpill) {
-  SessionOptions eager;
-  eager.spill_compaction_bytes = 0;  // any retained slack compacts
-  HostSession session = HostSession::build(g.netlist, eager);
-  const std::string victim = session.netlist().device_name(DeviceId(1));
-  const ApplyStats stats = session.apply(parse_delta(
-      "{\"op\":\"remove_device\",\"name\":\"" + victim + "\"}"));
-  EXPECT_EQ(stats.compactions, 1u);
-  EXPECT_EQ(session.spill_bytes(), 0u);
-  EXPECT_EQ(session.last_compaction(), 1u);
-  EXPECT_EQ(session.totals().compactions, 1u);
-
-  // The default threshold (1 MiB) never triggers on this small host: the
-  // spill from one removed gate is retained for the next patch instead.
-  HostSession lazy = HostSession::build(g.netlist);
-  const ApplyStats lazy_stats = lazy.apply(parse_delta(
-      "{\"op\":\"remove_device\",\"name\":\"" + victim + "\"}"));
-  EXPECT_EQ(lazy_stats.compactions, 0u);
-  EXPECT_GT(lazy.spill_bytes(), 0u);
-  EXPECT_EQ(lazy.last_compaction(), 0u);
-}
-
 TEST_F(SessionTest, RecordEcoStatsFeedsTheCounters) {
   ApplyStats stats;
   stats.patched_devices = 4;
   stats.patched_nets = 2;
   stats.renames = 1;
   stats.invalidated_labels = 17;
-  stats.compactions = 1;
   obs::Metrics metrics;
   record_eco_stats(&metrics, stats);
   record_eco_stats(nullptr, stats);  // null-safe
@@ -219,7 +143,10 @@ TEST_F(SessionTest, RecordEcoStatsFeedsTheCounters) {
   EXPECT_EQ(snap.counter("eco.patched_nets"), 2u);
   EXPECT_EQ(snap.counter("eco.renames"), 1u);
   EXPECT_EQ(snap.counter("eco.invalidated_labels"), 17u);
-  EXPECT_EQ(snap.counter("eco.compactions"), 1u);
+  // Patches retain no storage, so nothing is ever compacted; the counter
+  // stays in the tree for schema v1 consumers.
+  EXPECT_EQ(snap.counter("eco.compactions"), 0u);
+  EXPECT_EQ(snap.counters.count("eco.compactions"), 1u);
 }
 
 }  // namespace

@@ -66,7 +66,9 @@ TEST_P(CellFunction, TransistorsMatchTruthFunction) {
 
 INSTANTIATE_TEST_SUITE_P(AllCombinational, CellFunction,
                          ::testing::ValuesIn(functional_cells()),
-                         [](const auto& info) { return std::string(info.param); });
+                         [](const auto& param_info) {
+                           return std::string(param_info.param);
+                         });
 
 TEST(CellFunction, GeneratedAddersAddAcrossWidths) {
   for (int bits : {2, 3, 5}) {

@@ -38,7 +38,8 @@ TEST(HashProperty, RelabelIsInvariantUnderPinPermutation) {
     std::vector<Edge> edges(n);
     for (Edge& e : edges) {
       // Realistic coefficients: per-(type, class) values.
-      e.coefficient = class_coefficient(rng(), rng.below(4));
+      e.coefficient =
+          class_coefficient(rng(), static_cast<std::uint32_t>(rng.below(4)));
       e.neighbor = rng();
     }
     const Label old_label = rng();
@@ -110,7 +111,9 @@ TEST(HashProperty, ClassCoefficientsDistinguishClassesAndTypes) {
   for (int trial = 0; trial < 100; ++trial) {
     const Label ta = rng(), tb = rng();
     EXPECT_NE(class_coefficient(ta, 0), class_coefficient(ta, 1));
-    if (ta != tb) EXPECT_NE(class_coefficient(ta, 0), class_coefficient(tb, 0));
+    if (ta != tb) {
+      EXPECT_NE(class_coefficient(ta, 0), class_coefficient(tb, 0));
+    }
   }
 }
 

@@ -5,8 +5,8 @@ The quick-mode benches (bench_linearity --quick, bench_table2 --quick) emit
 a "counters" member of deterministic work counters per (circuit, cell) row —
 Phase I rounds and relabel contributions, label-cache hits/misses, Phase II
 passes, bindings, guesses, backtracks, and edge-visit counts. These are
-identical on every machine, at every --jobs value, and in both --core
-layouts, so the gate compares them EXACTLY: any drift is an algorithmic
+identical on every machine and at every --jobs value, so the gate
+compares them EXACTLY: any drift is an algorithmic
 change that must be acknowledged by regenerating the baseline.
 
 Wall-clock members ("timings") are machine artifacts and are only reported,
@@ -44,7 +44,7 @@ GATED_KEYS = (
     # ECO patching counters (bench_eco patched rows only; absent elsewhere,
     # and None == None keeps non-ECO rows unaffected).
     "eco_patched_devices", "eco_patched_nets", "eco_renames",
-    "eco_invalidated_labels", "eco_compactions",
+    "eco_invalidated_labels",
     # Static-analyzer counters (path-label prunes in the Phase II prefilter,
     # automorphism-folded enumeration skips, certificate short-circuits).
     "path_label_prunes", "symmetry_skips", "infeasible_shortcuts",

@@ -158,7 +158,7 @@ json::Value eco_json(const ApplyStats& stats) {
   v.set("patched_nets", stats.patched_nets);
   v.set("renames", stats.renames);
   v.set("invalidated_labels", stats.invalidated_labels);
-  v.set("compactions", stats.compactions);
+  v.set("compactions", 0);  // schema v1: patches never compact
   return v;
 }
 
@@ -166,21 +166,11 @@ json::Value eco_json(const ApplyStats& stats) {
 void print_eco_line(std::FILE* out, const ApplyStats& stats) {
   std::fprintf(out,
                "# eco: %llu device ops, %llu net ops, %llu renames, "
-               "%llu labels recomputed, %llu compactions\n",
+               "%llu labels recomputed, 0 compactions\n",
                static_cast<unsigned long long>(stats.patched_devices),
                static_cast<unsigned long long>(stats.patched_nets),
                static_cast<unsigned long long>(stats.renames),
-               static_cast<unsigned long long>(stats.invalidated_labels),
-               static_cast<unsigned long long>(stats.compactions));
-}
-
-/// Record the session core's footprint the way the one-shot matcher used
-/// to for its owned host core, so --metrics output keeps the csr.* view.
-void record_session_core(const HostSession& session) {
-  if (const CsrCore* core = session.core()) {
-    obs::span_add(g_metrics, "csr.build_seconds", core->build_seconds());
-    obs::gauge(g_metrics, "csr.bytes", static_cast<double>(core->bytes()));
-  }
+               static_cast<unsigned long long>(stats.invalidated_labels));
 }
 
 /// First .SUBCKT name of a design, or "main" when it only has top cards.
@@ -287,21 +277,18 @@ int cmd_find(const std::vector<std::string>& args) {
   reject_extras(args, 2);
   Netlist pattern = load(args[0], g_opts.pattern_top);
 
-  // The host lives in a session: one owned bundle of graph + csr core +
-  // label cache, patched in place by --delta instead of reparsed.
+  // The host lives in a session: one owned bundle of graph + label cache
+  // + path labels, patched by --delta instead of reparsed.
   SessionOptions so;
-  so.core = g_opts.core;
   so.shard_target_devices = g_opts.shard_target_devices;
   HostSession session = HostSession::build(load(args[1], g_opts.top), so);
   const std::optional<ApplyStats> eco = apply_cli_delta(session);
-  record_session_core(session);
   const Netlist& host = session.netlist();
 
   MatchOptions opts;
   opts.budget = g_opts.budget;
   opts.jobs = g_opts.jobs;
   opts.metrics = g_metrics;
-  opts.core = g_opts.core;
   opts.phase2_filter = g_opts.phase2_filter;
   opts.analyze = g_opts.analyze;
   MatchReport report = find_in_session(pattern, session, opts);
@@ -369,7 +356,6 @@ int cmd_extract(const std::vector<std::string>& args) {
   Design lib = load_design(args[0]);
 
   SessionOptions so;
-  so.core = g_opts.core;
   so.shard_target_devices = g_opts.shard_target_devices;
   HostSession session = HostSession::build(load(args[1], g_opts.top), so);
   const std::optional<ApplyStats> eco = apply_cli_delta(session);
@@ -390,7 +376,6 @@ int cmd_extract(const std::vector<std::string>& args) {
   options.match.budget = g_opts.budget;
   options.match.jobs = g_opts.jobs;
   options.match.metrics = g_metrics;
-  options.match.core = g_opts.core;
   options.match.phase2_filter = g_opts.phase2_filter;
   options.match.analyze = g_opts.analyze;
   options.lint_host = g_opts.lint;
@@ -749,7 +734,6 @@ int cmd_serve(const std::vector<std::string>& args) {
   so.max_request_bytes = g_opts.max_request_bytes;
   so.request_timeout = g_opts.request_timeout;
   so.jobs = g_opts.jobs == 0 ? 1 : g_opts.jobs;
-  so.core = g_opts.core;
   so.shard_target_devices = g_opts.shard_target_devices;
   so.lenient = g_opts.lenient;
   so.metrics = g_metrics;
