@@ -54,6 +54,9 @@ struct MatchRow {
   std::size_t domain_prunes = 0;      ///< postulates refuted by the prefilter
   std::size_t nogood_hits = 0;        ///< refutations served from the memo
   std::size_t trail_undos = 0;        ///< trail entries rolled back
+  std::size_t walk_settled = 0;       ///< candidates the forced-pin walk
+                                      ///< matched or refuted
+  std::size_t walk_fallbacks = 0;     ///< walks handed to the relabel search
   // Static-analyzer counters (zero unless the analyzer layer fired: the
   // path-label refuter needs --phase2-filter=paths, symmetry skips need an
   // exhaustive run with non-trivial pattern orbits, and infeasible
@@ -111,6 +114,8 @@ inline MatchRow run_match_in_session(const std::string& circuit_name,
   row.domain_prunes = r.phase2.domain_prunes;
   row.nogood_hits = r.phase2.nogood_hits;
   row.trail_undos = r.phase2.trail_undos;
+  row.walk_settled = r.phase2.walk_settled;
+  row.walk_fallbacks = r.phase2.walk_fallbacks;
   row.path_label_prunes = r.phase2.path_label_prunes;
   row.symmetry_skips = r.phase2.symmetry_skips;
   row.infeasible_shortcuts = r.infeasible_shortcuts;
@@ -162,6 +167,8 @@ inline json::Value counters_json(const std::vector<MatchRow>& rows) {
     v.set("domain_prunes", r.domain_prunes);
     v.set("nogood_hits", r.nogood_hits);
     v.set("trail_undos", r.trail_undos);
+    v.set("walk_settled", r.walk_settled);
+    v.set("walk_fallbacks", r.walk_fallbacks);
     v.set("path_label_prunes", r.path_label_prunes);
     v.set("symmetry_skips", r.symmetry_skips);
     v.set("infeasible_shortcuts", r.infeasible_shortcuts);

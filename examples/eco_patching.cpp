@@ -4,8 +4,9 @@
 // host you have already searched. The naive flow reparses the netlist,
 // reflattens the graph, and relabels every vertex from scratch; the
 // HostSession flow applies the delta in place and recomputes only the
-// labels inside the edit's dirty cone — O(change), not O(host) — while
-// producing byte-identical match reports.
+// labels inside the edit's dirty cone while producing byte-identical
+// match reports. (On small hosts the cone of one edit can already reach
+// the whole host; bench_eco measures a patch against a cold rebuild.)
 //
 //   1. build a HostSession over the host netlist;
 //   2. search it (this also warms the session's label cache);

@@ -4,7 +4,9 @@
 //      valid deck;
 //   2. reparse to a gemini-isomorphic netlist;
 //   3. be found whole when matched against itself, under a deadline that
-//      must be honored (no unbounded search on adversarial inputs).
+//      must be honored (no unbounded search on adversarial inputs);
+//   4. give the same instances with Phase II's fast path (the forced-pin
+//      walk among it) off as on, whenever both runs are complete.
 // Violations abort; rejected inputs (subg::Error) are not failures.
 #include <cstddef>
 #include <cstdint>
@@ -70,6 +72,23 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     subg::MatchReport report = matcher.find_all();
     if (report.count() == 0 && report.status.complete()) {
       die("complete self-match found nothing", written);
+    }
+    // The same self-match as the paper's pure census search: the walk
+    // settles a candidate only when its verdict is exact.
+    options.budget = subg::Budget::after(0.2);
+    options.phase2_filter = subg::Phase2Filter::kOff;
+    subg::SubgraphMatcher census(*net, *net, options);
+    const subg::MatchReport off = census.find_all();
+    if (report.status.complete() && off.status.complete()) {
+      bool same_instances = report.count() == off.count();
+      for (std::size_t i = 0; same_instances && i < off.count(); ++i) {
+        same_instances =
+            report.instances[i].device_image == off.instances[i].device_image &&
+            report.instances[i].net_image == off.instances[i].net_image;
+      }
+      if (!same_instances) {
+        die("self-match instances differ with the fast path off", written);
+      }
     }
   } catch (const subg::Error&) {
     // Disconnected patterns are rejected by the matcher up front.

@@ -24,9 +24,11 @@ struct Phase2Stats {
   std::size_t candidates_matched = 0;
   std::size_t passes = 0;            ///< relabeling passes, all candidates
   std::size_t bindings = 0;          ///< pattern↔host pairs postulated (key
-                                     ///< postulates, singleton matches, and
-                                     ///< guesses; re-bindings after a
-                                     ///< backtrack count again)
+                                     ///< postulates, singleton matches,
+                                     ///< guesses and forced-pin walk
+                                     ///< bindings; re-bindings after a
+                                     ///< backtrack or a walk fallback count
+                                     ///< again)
   std::size_t guesses = 0;           ///< postulated matches at ambiguity points
   std::size_t backtracks = 0;        ///< failed guesses undone
   std::size_t verify_failures = 0;   ///< final explicit verification rejected
@@ -52,6 +54,11 @@ struct Phase2Stats {
                                      ///< suppressed because they are an
                                      ///< automorphic image of one already
                                      ///< recorded for this candidate
+  std::size_t walk_settled = 0;      ///< candidates the forced-pin walk
+                                     ///< decided without relabeling: a
+                                     ///< verified instance or a refutation
+  std::size_t walk_fallbacks = 0;    ///< candidates whose walk got stuck
+                                     ///< and went to the relabel search
 
   /// Fold another verifier's counters in (parallel sweeps keep per-worker
   /// stats and merge them; sums are scheduling-order independent).
@@ -72,6 +79,8 @@ struct Phase2Stats {
     trail_undos += other.trail_undos;
     path_label_prunes += other.path_label_prunes;
     symmetry_skips += other.symmetry_skips;
+    walk_settled += other.walk_settled;
+    walk_fallbacks += other.walk_fallbacks;
   }
 };
 

@@ -388,6 +388,10 @@ MatchReport SubgraphMatcher::run(std::size_t limit) {
     if (stats.symmetry_skips != 0) {
       m.add("phase2.symmetry_skips", stats.symmetry_skips);
     }
+    if (stats.walk_settled != 0) m.add("phase2.walk_settled", stats.walk_settled);
+    if (stats.walk_fallbacks != 0) {
+      m.add("phase2.walk_fallbacks", stats.walk_fallbacks);
+    }
     m.gauge("phase2.max_guess_depth",
             static_cast<double>(stats.max_guess_depth));
     m.add("match.runs");

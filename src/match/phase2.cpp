@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <set>
+#include <span>
+#include <utility>
 
 #include "match/verify.hpp"
 #include "util/check.hpp"
@@ -302,11 +304,7 @@ bool Phase2Verifier::device_compatible(Vertex s, Vertex g) {
 
 bool Phase2Verifier::net_compatible(Vertex s, Vertex g) {
   const PinProfile& p = profile_[s];
-  const auto hd = static_cast<std::uint32_t>(g_.degree(g));
-  // Internal pattern nets are induced (final verification enforces it), so
-  // their host image must have exactly the pattern degree; ports may fan
-  // out further in the host.
-  if (p.is_port ? hd < p.degree : hd != p.degree) return false;
+  if (!net_degree_fits(s, g)) return false;
   host_label_scratch_.clear();
   for (const Vertex to : g_.neighbors(g)) {
     host_label_scratch_.push_back(g_.initial_label(to));
@@ -358,6 +356,277 @@ bool Phase2Verifier::signature_ok(Vertex s, Vertex g) {
   return ok;
 }
 
+// --- forced-pin walk -------------------------------------------------------
+//
+// Every test below is a necessary condition of verify_instance on a mapping
+// that extends the bindings so far, so a domain always holds every image an
+// embedding could give the vertex: an empty domain refutes the candidate, a
+// singleton is forced, and a walk that binds everything has found the only
+// mapping with K↦c.
+
+namespace {
+/// Pins of one vertex that reach `to` through coefficient `coeff`.
+std::size_t pin_count(std::span<const Vertex> nbrs,
+                      std::span<const Label> coeffs, Label coeff, Vertex to) {
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < nbrs.size(); ++k) {
+    if (nbrs[k] == to && coeffs[k] == coeff) ++n;
+  }
+  return n;
+}
+}  // namespace
+
+bool Phase2Verifier::walk_enabled(Vertex key) {
+  if (!options_.signature_filter || options_.trace != nullptr) return false;
+  if (walk_gate_.empty()) walk_gate_.assign(s_.vertex_count(), -1);
+  if (walk_gate_[key] < 0) {
+    // Self-walk gate: host fanout only adds candidates to a domain, so a
+    // walk that gets stuck on the pattern itself gets stuck on every true
+    // instance too and would only add its cost.
+    Phase2Verifier self(s_, s_);
+    SubcircuitInstance unused;
+    walk_gate_[key] =
+        self.walk(key, key, &unused) == WalkVerdict::kMatched ? 1 : 0;
+  }
+  return walk_gate_[key] == 1;
+}
+
+Phase2Verifier::WalkVerdict Phase2Verifier::walk(Vertex key, Vertex candidate,
+                                                 SubcircuitInstance* out) {
+  RunOutcome why;
+  if (options_.budget.interrupted(&why)) {
+    status_.escalate(why, std::string("phase2: ") + to_string(why) +
+                              " while verifying a candidate");
+    return WalkVerdict::kInterrupted;
+  }
+  if (walk_image_.empty()) {
+    walk_image_.assign(s_.vertex_count(), kInvalidVertex);
+    walk_owner_.assign(g_.vertex_count(), kInvalidVertex);
+    walk_order_.reserve(matchable_total_);
+  }
+  for (const Vertex v : walk_order_) {
+    walk_owner_[walk_image_[v]] = kInvalidVertex;
+    walk_image_[v] = kInvalidVertex;
+  }
+  walk_order_.clear();
+
+  // The key's own pins are checked first: a candidate whose rail pins or
+  // pin nets cannot carry the key's dies before anything is bound.
+  if (!walk_fits(key, candidate)) {
+    ++stats_.walk_settled;
+    return WalkVerdict::kRefuted;
+  }
+  walk_bind(key, candidate);
+  // Worklist: walk_order_ in binding order, devices before nets — a
+  // device's domains come from its few pins, a net's from its fanout.
+  std::size_t next_device = 0;
+  std::size_t next_net = 0;
+  while (walk_order_.size() < matchable_total_) {
+    Vertex v = kInvalidVertex;
+    while (v == kInvalidVertex && next_device < walk_order_.size()) {
+      const Vertex u = walk_order_[next_device++];
+      if (s_.is_device(u)) v = u;
+    }
+    while (v == kInvalidVertex && next_net < walk_order_.size()) {
+      const Vertex u = walk_order_[next_net++];
+      if (s_.is_net(u)) v = u;
+    }
+    if (v == kInvalidVertex) {
+      // Worklist drained with vertices left unbound: no domain was a
+      // singleton, so pins alone cannot decide.
+      ++stats_.walk_fallbacks;
+      return WalkVerdict::kStuck;
+    }
+    if (!walk_expand(v)) {
+      ++stats_.walk_settled;
+      return WalkVerdict::kRefuted;
+    }
+  }
+
+  ++stats_.walk_settled;
+  if (!extract_mapping(walk_image_, out)) return WalkVerdict::kRefuted;
+  if (!verify_mapping(*out)) {
+    ++stats_.verify_failures;
+    return WalkVerdict::kRefuted;
+  }
+  return WalkVerdict::kMatched;
+}
+
+bool Phase2Verifier::walk_expand(Vertex v) {
+  // A net whose pattern neighbors are all bound has nothing to offer, and
+  // its host fanout is never scanned (walk_domain generates from the
+  // smallest bound neighbor anyway).
+  for (const Vertex x : s_.neighbors(v)) {
+    if (s_.is_special(x) || walk_image_[x] != kInvalidVertex) continue;
+    Vertex only = kInvalidVertex;
+    const std::size_t size = walk_domain(x, &only);
+    if (size == 0) return false;
+    if (size == 1) walk_bind(x, only);
+  }
+  return true;
+}
+
+std::size_t Phase2Verifier::walk_domain(Vertex x, Vertex* only) const {
+  // Every bound neighbor's image must be adjacent to x's image through the
+  // same pin class, so any one of them generates a superset of the
+  // domain; take the one with the smallest host fanout. Rails never
+  // generate: their fanout is the whole host.
+  const auto nbrs = s_.neighbors(x);
+  const auto coeffs = s_.coefficients(x);
+  Vertex from = kInvalidVertex;
+  Label coeff = 0;
+  for (std::size_t k = 0; k < nbrs.size(); ++k) {
+    if (s_.is_special(nbrs[k])) continue;
+    const Vertex image = walk_image_[nbrs[k]];
+    if (image == kInvalidVertex) continue;
+    if (from == kInvalidVertex || g_.degree(image) < g_.degree(from)) {
+      from = image;
+      coeff = coeffs[k];
+    }
+  }
+  *only = kInvalidVertex;
+  if (from == kInvalidVertex) return 2;
+  std::size_t size = 0;
+  const auto hn = g_.neighbors(from);
+  const auto hc = g_.coefficients(from);
+  for (std::size_t j = 0; j < hn.size(); ++j) {
+    const Vertex y = hn[j];
+    if (hc[j] != coeff || y == *only || !walk_fits(x, y)) continue;
+    if (++size == 2) return 2;
+    *only = y;
+  }
+  return size;
+}
+
+bool Phase2Verifier::walk_fits(Vertex x, Vertex y) const {
+  if (!walk_host_free(y)) return false;
+  if (s_.is_device(x)) {
+    return g_.is_device(y) && g_.initial_label(y) == s_.initial_label(x) &&
+           walk_device_pins_fit(x, y);
+  }
+  return g_.is_net(y) && net_degree_fits(x, y) && walk_net_pins_fit(x, y);
+}
+
+bool Phase2Verifier::net_degree_fits(Vertex s, Vertex g) const {
+  // Internal pattern nets are induced (final verification enforces it), so
+  // their host image must have exactly the pattern degree; ports may fan
+  // out further in the host.
+  const PinProfile& p = profile_[s];
+  const std::size_t hd = g_.degree(g);
+  return p.is_port ? hd >= p.degree : hd == p.degree;
+}
+
+bool Phase2Verifier::walk_device_pins_fit(Vertex x, Vertex y) const {
+  const auto pn = s_.neighbors(x);
+  const auto pc = s_.coefficients(x);
+  const auto hn = g_.neighbors(y);
+  const auto hc = g_.coefficients(y);
+  if (pn.size() != hn.size()) return false;
+  // Each pattern pin needs a host pin of its class: a bound net's image on
+  // as many pins as the pattern uses, an unbound net a free net whose
+  // degree fits.
+  for (std::size_t k = 0; k < pn.size(); ++k) {
+    const Vertex image = walk_image_of(pn[k]);
+    if (image != kInvalidVertex) {
+      if (pin_count(pn, pc, pc[k], pn[k]) != pin_count(hn, hc, pc[k], image)) {
+        return false;
+      }
+      continue;
+    }
+    bool found = false;
+    for (std::size_t j = 0; j < hn.size() && !found; ++j) {
+      found = hc[j] == pc[k] && walk_host_free(hn[j]) &&
+              net_degree_fits(pn[k], hn[j]);
+    }
+    if (!found) return false;
+  }
+  // Each host pin needs a pattern pin of its class: a rail or a bound net
+  // must be the image of one of x's nets, a free net must fit an unbound
+  // one.
+  for (std::size_t j = 0; j < hn.size(); ++j) {
+    const bool free = walk_host_free(hn[j]);
+    bool found = false;
+    for (std::size_t k = 0; k < pn.size() && !found; ++k) {
+      if (pc[k] != hc[j]) continue;
+      const Vertex image = walk_image_of(pn[k]);
+      found = free ? image == kInvalidVertex && net_degree_fits(pn[k], hn[j])
+                   : image == hn[j];
+    }
+    if (!found) return false;
+  }
+  return true;
+}
+
+bool Phase2Verifier::walk_net_pins_fit(Vertex x, Vertex y) const {
+  // A bound device must put as many pins of each class on y as its
+  // pattern twin puts on x.
+  const auto nbrs = s_.neighbors(x);
+  for (std::size_t k = 0; k < nbrs.size(); ++k) {
+    const Vertex d = nbrs[k];
+    const Vertex e = walk_image_[d];
+    if (e == kInvalidVertex || (k > 0 && nbrs[k - 1] == d)) continue;
+    const auto dn = s_.neighbors(d);
+    const auto dc = s_.coefficients(d);
+    const auto en = g_.neighbors(e);
+    const auto ec = g_.coefficients(e);
+    for (std::size_t i = 0; i < dn.size(); ++i) {
+      if (dn[i] == x &&
+          pin_count(dn, dc, dc[i], x) != pin_count(en, ec, dc[i], y)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+void Phase2Verifier::walk_bind(Vertex x, Vertex y) {
+  ++stats_.bindings;
+  walk_image_[x] = y;
+  walk_owner_[y] = x;
+  walk_order_.push_back(x);
+}
+
+void Phase2Verifier::audit_walk(Vertex key, Vertex candidate,
+                                std::size_t limit, WalkVerdict verdict,
+                                const SubcircuitInstance& walked) {
+  if (verdict != WalkVerdict::kMatched && verdict != WalkVerdict::kRefuted) {
+    return;
+  }
+  // Everything the re-run touches is restored afterwards, so audit builds
+  // report the same counters and statuses as release builds. The re-run
+  // gets an unlimited Budget; a capped relabel search is no reference.
+  const Phase2Stats stats = stats_;
+  const RunStatus status = std::exchange(status_, RunStatus{});
+  const std::vector<TrailEntry> trail = trail_;
+  const std::unordered_map<std::uint64_t, bool> cache = compat_cache_;
+  const Budget budget = std::exchange(options_.budget, Budget{});
+  std::vector<SubcircuitInstance> relabeled;
+  if (limit == 0) {
+    if (auto inst = relabel_verify(key, candidate)) {
+      relabeled.push_back(std::move(*inst));
+    }
+  } else {
+    relabeled = relabel_enumerate(key, candidate, limit);
+  }
+  const bool complete = status_.complete();
+  stats_ = stats;
+  status_ = status;
+  trail_ = trail;
+  compat_cache_ = cache;
+  options_.budget = budget;
+  if (!complete) return;
+  const bool matched = verdict == WalkVerdict::kMatched;
+  SUBG_AUDIT_MSG(relabeled.size() == (matched ? 1u : 0u),
+                 "phase2 audit: the forced-pin walk and the relabel search "
+                 "disagree on whether the candidate matches");
+  if (matched && relabeled.size() == 1) {
+    SUBG_AUDIT_MSG(relabeled[0].device_image == walked.device_image &&
+                       relabeled[0].net_image == walked.net_image,
+                   "phase2 audit: the forced-pin walk and the relabel search "
+                   "found different images");
+  }
+}
+
 // --- search ----------------------------------------------------------------
 
 std::uint32_t Phase2Verifier::ensure_slot(State& st, Vertex g) {
@@ -406,21 +675,38 @@ void Phase2Verifier::reset_candidate_scratch() {
   compat_cache_.clear();
 }
 
+bool Phase2Verifier::admit(Vertex key, Vertex candidate) {
+  if (!globals_resolved_) return false;
+  if (s_.is_device(key) != g_.is_device(candidate)) return false;
+  // Cheap pre-check: the candidate must at least share the device type.
+  if (s_.is_device(key) &&
+      s_.initial_label(key) != g_.initial_label(candidate)) {
+    return false;
+  }
+  reset_candidate_scratch();
+  return !options_.signature_filter || signature_ok(key, candidate);
+}
+
 std::optional<SubcircuitInstance> Phase2Verifier::verify(Vertex key,
                                                          Vertex candidate) {
   SUBG_FAULT_POINT("phase2");
   ++stats_.candidates_tried;
-  if (!globals_resolved_) return std::nullopt;
-  if (s_.is_device(key) != g_.is_device(candidate)) return std::nullopt;
-  if (s_.is_device(key)) {
-    // Cheap pre-check: the candidate must at least share the device type.
-    if (s_.initial_label(key) != g_.initial_label(candidate)) return std::nullopt;
+  if (!admit(key, candidate)) return std::nullopt;
+  if (walk_enabled(key)) {
+    SubcircuitInstance inst;
+    const WalkVerdict verdict = walk(key, candidate, &inst);
+    if constexpr (kAuditEnabled) audit_walk(key, candidate, 0, verdict, inst);
+    if (verdict == WalkVerdict::kMatched) {
+      ++stats_.candidates_matched;
+      return inst;
+    }
+    if (verdict != WalkVerdict::kStuck) return std::nullopt;
   }
-  reset_candidate_scratch();
-  if (options_.signature_filter && !signature_ok(key, candidate)) {
-    return std::nullopt;
-  }
+  return relabel_verify(key, candidate);
+}
 
+std::optional<SubcircuitInstance> Phase2Verifier::relabel_verify(
+    Vertex key, Vertex candidate) {
   State st;
   st.label_s.assign(s_.vertex_count(), kNoLabel);
   st.considered_s.assign(s_.vertex_count(), false);
@@ -444,17 +730,28 @@ std::vector<SubcircuitInstance> Phase2Verifier::enumerate(Vertex key,
   SUBG_FAULT_POINT("phase2");
   ++stats_.candidates_tried;
   std::vector<SubcircuitInstance> found;
-  if (!globals_resolved_ || limit == 0) return found;
-  if (s_.is_device(key) != g_.is_device(candidate)) return found;
-  if (s_.is_device(key) &&
-      s_.initial_label(key) != g_.initial_label(candidate)) {
-    return found;
+  if (limit == 0 || !admit(key, candidate)) return found;
+  if (walk_enabled(key)) {
+    // A settled walk leaves at most one mapping with K↦c, so there is
+    // nothing to deduplicate or fold by symmetry.
+    SubcircuitInstance inst;
+    const WalkVerdict verdict = walk(key, candidate, &inst);
+    if constexpr (kAuditEnabled) {
+      audit_walk(key, candidate, limit, verdict, inst);
+    }
+    if (verdict == WalkVerdict::kMatched) {
+      ++stats_.candidates_matched;
+      found.push_back(std::move(inst));
+      return found;
+    }
+    if (verdict != WalkVerdict::kStuck) return found;
   }
-  reset_candidate_scratch();
-  if (options_.signature_filter && !signature_ok(key, candidate)) {
-    return found;
-  }
+  return relabel_enumerate(key, candidate, limit);
+}
 
+std::vector<SubcircuitInstance> Phase2Verifier::relabel_enumerate(
+    Vertex key, Vertex candidate, std::size_t limit) {
+  std::vector<SubcircuitInstance> found;
   State st;
   st.label_s.assign(s_.vertex_count(), kNoLabel);
   st.considered_s.assign(s_.vertex_count(), false);
@@ -547,7 +844,7 @@ Phase2Verifier::Outcome Phase2Verifier::run(
                        "phase2 audit: pattern-to-host binding is not "
                        "injective");
       }
-      if (!extract_mapping(st, out)) return Outcome::kFail;
+      if (!extract_mapping(st.matched_s, out)) return Outcome::kFail;
       if (!verify_mapping(*out)) {
         ++stats_.verify_failures;
         return Outcome::kFail;
@@ -902,7 +1199,7 @@ bool Phase2Verifier::pass(State& st, bool* progress) {
   return true;
 }
 
-bool Phase2Verifier::extract_mapping(const State& st,
+bool Phase2Verifier::extract_mapping(const std::vector<Vertex>& matched,
                                      SubcircuitInstance* out) const {
   out->device_image.assign(s_.device_count(), DeviceId());
   out->net_image.assign(s_.net_count(), NetId());
@@ -914,7 +1211,7 @@ bool Phase2Verifier::extract_mapping(const State& st,
         continue;  // unused pattern global: no image required
       }
     } else {
-      image = st.matched_s[v];
+      image = matched[v];
     }
     if (image == kInvalidVertex) return false;
     if (s_.is_device(v)) {

@@ -35,6 +35,17 @@
 // pairs are memoized per candidate (nogood recording), so symmetric
 // patterns stop re-deriving the same refutation across sibling branches.
 //
+// Ahead of relabeling, a forced-pin walk (on with the signature filter,
+// off under a trace) tries to settle the candidate from its pins alone:
+// with K↦c and the rails bound, each unbound pattern neighbor of a bound
+// vertex gets a domain of host images that its pins still admit. Domains
+// are supersets of every image an embedding could use, so an empty domain
+// refutes the candidate and a singleton is forced; a walk that binds every
+// pattern vertex has found the only mapping with K↦c, and final
+// verification decides it. Only when no domain is a singleton does the
+// relabel search run, from scratch. A pattern whose walk against itself
+// gets stuck on K skips the walk.
+//
 // Special signals (paper §IV.A): global nets are pre-matched by name,
 // carry fixed name-derived labels, are never relabeled and never expand the
 // search frontier — matching a pattern against a 100k-fanout rail must not
@@ -72,16 +83,17 @@ struct Phase2Options {
   std::uint64_t seed = 0x53554247454D494EULL;  // "SUBGEMIN"
   std::size_t max_passes_per_candidate = 1u << 20;
   std::size_t max_guess_depth = 4096;
-  /// Wall-clock / cancellation envelope, polled once per relabeling pass
-  /// and per guess branch. Hitting any limit (caps included) is recorded in
-  /// the verifier's RunStatus — never silently.
+  /// Wall-clock / cancellation envelope, polled once per forced-pin walk,
+  /// per relabeling pass and per guess branch. Hitting any limit (caps
+  /// included) is recorded in the verifier's RunStatus — never silently.
   Budget budget;
   /// When non-null, every pass appends the labels of both graphs' live
   /// vertices. Only use on small examples.
   Phase2Trace* trace = nullptr;
   /// Phase II fast path: the neighborhood-signature prefilter on postulates
-  /// (candidate entry, forced singleton matches, guess pools) plus the
-  /// per-candidate nogood memo over refuted (pattern, host) pairs. Off
+  /// (candidate entry, forced singleton matches, guess pools), the
+  /// per-candidate nogood memo over refuted (pattern, host) pairs, and the
+  /// forced-pin walk ahead of relabeling (skipped under a trace). Off
   /// reproduces the pure census search — same instances, same reports,
   /// strictly more passes/guesses — which is what the A/B equivalence
   /// tests and the EXPERIMENTS.md comparisons run.
@@ -195,6 +207,11 @@ class Phase2Verifier {
 
   enum class Outcome { kSuccess, kFail };
 
+  /// How a forced-pin walk ended. kMatched and kRefuted settle the
+  /// candidate; kStuck hands it to the relabel search; kInterrupted means
+  /// the Budget fired at entry (recorded in the status).
+  enum class WalkVerdict { kMatched, kRefuted, kStuck, kInterrupted };
+
   /// One journaled state mutation: enough to restore the old value.
   struct TrailEntry {
     enum class Kind : std::uint8_t {
@@ -238,6 +255,16 @@ class Phase2Verifier {
     bool is_port = false;              // nets only
   };
 
+  /// Candidate-entry checks shared by verify() and enumerate(): resolved
+  /// globals, matching vertex kind and device type, a fresh per-candidate
+  /// scratch, and the signature check on K↦c.
+  [[nodiscard]] bool admit(Vertex key, Vertex candidate);
+  /// The relabel search (VerifyImage) for one candidate, from scratch.
+  [[nodiscard]] std::optional<SubcircuitInstance> relabel_verify(
+      Vertex key, Vertex candidate);
+  [[nodiscard]] std::vector<SubcircuitInstance> relabel_enumerate(
+      Vertex key, Vertex candidate, std::size_t limit);
+
   /// In enumerate mode `sink` collects completions and run() keeps
   /// backtracking (returns kFail upward) until branches are exhausted or
   /// `sink_limit` is reached.
@@ -250,7 +277,10 @@ class Phase2Verifier {
   void postulate(State& st, Vertex s, Vertex g);
   std::uint32_t ensure_slot(State& st, Vertex g);
   [[nodiscard]] Label fresh_label(State& st);
-  [[nodiscard]] bool extract_mapping(const State& st,
+  /// Fill `out` from a pattern→host binding of the non-special vertices
+  /// (specials take their by-name image). False if a vertex is unbound or
+  /// bound across kinds.
+  [[nodiscard]] bool extract_mapping(const std::vector<Vertex>& matched,
                                      SubcircuitInstance* out) const;
   [[nodiscard]] bool verify_mapping(const SubcircuitInstance& inst) const;
   void record_trace(const State& st, std::size_t pass) const;
@@ -281,6 +311,42 @@ class Phase2Verifier {
   [[nodiscard]] bool signature_ok(Vertex s, Vertex g);
   [[nodiscard]] bool device_compatible(Vertex s, Vertex g);
   [[nodiscard]] bool net_compatible(Vertex s, Vertex g);
+  /// Degree rule of pattern net s for host net g: equal for an internal
+  /// net, at least the pattern degree for a port.
+  [[nodiscard]] bool net_degree_fits(Vertex s, Vertex g) const;
+
+  // --- forced-pin walk ahead of relabeling.
+  /// True when the walk runs for this key: the signature filter is on, no
+  /// trace is recorded, and the pattern's walk against itself from K↦K
+  /// completes (computed once per key).
+  [[nodiscard]] bool walk_enabled(Vertex key);
+  [[nodiscard]] WalkVerdict walk(Vertex key, Vertex candidate,
+                                 SubcircuitInstance* out);
+  /// Compute the domains of v's unbound neighbors and bind the singletons.
+  /// False when some domain is empty.
+  [[nodiscard]] bool walk_expand(Vertex v);
+  /// Size of x's domain, capped at 2 (two or more, or nothing bound to
+  /// generate it from); `*only` is the image when the size is 1.
+  [[nodiscard]] std::size_t walk_domain(Vertex x, Vertex* only) const;
+  [[nodiscard]] bool walk_fits(Vertex x, Vertex y) const;
+  [[nodiscard]] bool walk_device_pins_fit(Vertex x, Vertex y) const;
+  [[nodiscard]] bool walk_net_pins_fit(Vertex x, Vertex y) const;
+  void walk_bind(Vertex x, Vertex y);
+  /// Image of pattern vertex v so far: by name for a rail, the walk's
+  /// binding otherwise (kInvalidVertex while unbound).
+  [[nodiscard]] Vertex walk_image_of(Vertex v) const {
+    return s_.is_special(v) ? special_image_[v] : walk_image_[v];
+  }
+  /// A host vertex no pattern vertex is bound to and that is no rail of
+  /// this pattern.
+  [[nodiscard]] bool walk_host_free(Vertex g) const {
+    return walk_owner_[g] == kInvalidVertex && host_fixed_label_[g] == kNoLabel;
+  }
+  /// SUBG_AUDIT A20: after a settling verdict (kMatched, kRefuted), re-run
+  /// the relabel search on the candidate and require the same verdict and,
+  /// on a match, `walked`'s images. `limit` 0 = verify().
+  void audit_walk(Vertex key, Vertex candidate, std::size_t limit,
+                  WalkVerdict verdict, const SubcircuitInstance& walked);
 
   const CircuitGraph& s_;
   const CircuitGraph& g_;
@@ -318,6 +384,16 @@ class Phase2Verifier {
   /// vertices — including host-declared globals the pattern does not name.
   std::vector<Label> host_fixed_label_;
   std::size_t matchable_total_ = 0;    // non-special pattern vertices
+  /// Forced-pin walk buffers, allocated at the first walk and reset through
+  /// walk_order_ (the previous candidate's bindings) — a settled candidate
+  /// allocates nothing here. walk_image_: pattern vertex → host vertex;
+  /// walk_owner_: host vertex → pattern vertex; walk_order_: bound
+  /// non-special pattern vertices in binding order, which is also the
+  /// worklist. walk_gate_: per key, -1 unknown, 0 skip the walk, 1 walk.
+  std::vector<Vertex> walk_image_;
+  std::vector<Vertex> walk_owner_;
+  std::vector<Vertex> walk_order_;
+  std::vector<std::int8_t> walk_gate_;
 };
 
 }  // namespace subg

@@ -38,7 +38,8 @@ void Metrics::add(std::string_view name, std::uint64_t delta) {
 void Metrics::gauge(std::string_view name, double value) {
   Shard& shard = local_shard();
   std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.gauges[std::string(name)] = value;
+  auto [it, inserted] = shard.gauges.try_emplace(std::string(name), value);
+  if (!inserted && value > it->second) it->second = value;
 }
 
 void Metrics::span_add(std::string_view name, double seconds) {

@@ -11,10 +11,12 @@
 //  - Three metric kinds. COUNTERS are monotonic uint64 sums ("phase2.seeds
 //    tried"); merging shards adds them, so totals are scheduling-order
 //    independent and identical at every --jobs value for deterministic
-//    quantities. GAUGES are doubles with last-write-wins semantics within a
-//    shard and max-across-shards on collect (high-water marks like
-//    "phase2.max_guess_depth"). SPANS are wall-clock accumulators (count +
-//    total seconds) for phase attribution and lane busy time.
+//    quantities. GAUGES are doubles that keep the maximum of every value
+//    written to them, within a shard and across shards on collect: each is
+//    a high-water mark ("phase2.max_guess_depth", "csr.bytes"), so a gauge
+//    that several matchers or lanes write reads the same at every --jobs
+//    value and under any scheduling. SPANS are wall-clock accumulators
+//    (count + total seconds) for phase attribution and lane busy time.
 //  - Thread safety via sharding: updates go to one of a fixed set of
 //    shards selected by the calling thread's id, each guarded by its own
 //    mutex. Parallel lanes therefore almost never contend — a lane's
@@ -49,7 +51,7 @@ struct Snapshot {
     double seconds = 0;
   };
   std::map<std::string, std::uint64_t> counters;  ///< summed across shards
-  std::map<std::string, double> gauges;           ///< max across shards
+  std::map<std::string, double> gauges;           ///< max of every write
   std::map<std::string, Span> spans;              ///< summed across shards
 
   [[nodiscard]] bool empty() const {
@@ -77,7 +79,8 @@ class Metrics {
   /// Add `delta` to the named monotonic counter.
   void add(std::string_view name, std::uint64_t delta = 1);
 
-  /// Set the named gauge; shards merge by maximum on collect.
+  /// Raise the named gauge to `value` if it is higher: a gauge is the
+  /// high-water mark of every write, within a shard and across shards.
   void gauge(std::string_view name, double value);
 
   /// Add one timed interval to the named span.

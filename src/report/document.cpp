@@ -59,6 +59,8 @@ json::Value to_json(const Phase2Stats& stats) {
   if (stats.symmetry_skips != 0) {
     v.set("symmetry_skips", stats.symmetry_skips);
   }
+  if (stats.walk_settled != 0) v.set("walk_settled", stats.walk_settled);
+  if (stats.walk_fallbacks != 0) v.set("walk_fallbacks", stats.walk_fallbacks);
   return v;
 }
 

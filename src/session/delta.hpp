@@ -77,7 +77,7 @@ struct NetlistDelta {
 [[nodiscard]] NetlistDelta parse_delta_file(const std::string& path);
 
 /// What a delta did to the netlist, in post-edit names — the bookkeeping
-/// HostSession needs to rebase caches in O(change). All sets/maps speak
+/// HostSession needs to rebase caches from the edit's dirty cone. All sets/maps speak
 /// CURRENT (post-edit) names; entities removed again by a later op are
 /// cleaned out, so the final state describes exactly the surviving edit.
 struct DeltaEffects {

@@ -9,7 +9,7 @@
 //
 //   HostSession session = HostSession::build(netlist);
 //   MatchReport r = find_in_session(pattern, session, options);
-//   session.apply(parse_delta(delta_text));   // ECO edit, O(change) labels
+//   session.apply(parse_delta(delta_text));   // ECO edit, dirty-cone labels
 //   MatchReport r2 = find_in_session(pattern, session, options);
 //
 // apply() is ATOMIC (apply-or-rollback): every fallible step — delta

@@ -5,11 +5,12 @@
 // instrumented code path so the audit build actually evaluates them:
 // partition-refinement monotonicity and corrupt-neighbor propagation
 // (phase1), candidate-vector/host-partition consistency (phase1),
-// postulate/bind discipline and final-map injectivity (phase2), parallel
-// vs serial label-sweep equivalence and rail-key stability (host_labels),
-// and instance-shape/limit postconditions (matcher). In a normal build the
-// macros are no-ops and this is an ordinary smoke suite — it must pass
-// identically either way.
+// postulate/bind discipline and final-map injectivity (phase2), the
+// replay of every settled forced-pin walk through the relabel search
+// (phase2, A20), parallel vs serial label-sweep equivalence and rail-key
+// stability (host_labels), and instance-shape/limit postconditions
+// (matcher). In a normal build the macros are no-ops and this is an
+// ordinary smoke suite — it must pass identically either way.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -54,6 +55,29 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string>& param_info) {
       return param_info.param;
     });
+
+TEST(Audit, SettledWalksReplayThroughTheRelabelSearch) {
+  // nand2 and fulladder are settled by the forced-pin walk; under audit
+  // every verdict, in verify() and in enumerate(), is replayed through
+  // the relabel search (A20). The replay must leave the counters alone.
+  gen::Generated host = gen::logic_soup(60, /*seed=*/0x5eed);
+  gen::Generated adder = gen::ripple_carry_adder(3);
+  cells::CellLibrary lib;
+  for (const bool exhaustive : {false, true}) {
+    MatchOptions options;
+    options.exhaustive = exhaustive;
+    const MatchReport nand2 =
+        SubgraphMatcher(lib.pattern("nand2"), host.netlist, options).find_all();
+    EXPECT_GE(nand2.count(), host.placed_count("nand2"));
+    EXPECT_GT(nand2.phase2.walk_settled, 0u);
+    EXPECT_EQ(nand2.phase2.passes, 0u);
+    const MatchReport fa =
+        SubgraphMatcher(lib.pattern("fulladder"), adder.netlist, options)
+            .find_all();
+    EXPECT_EQ(fa.count(), adder.placed_count("fulladder"));
+    EXPECT_GT(fa.phase2.walk_settled, 0u);
+  }
+}
 
 TEST(Audit, ParallelJobsMatchSerial) {
   // jobs>1 routes host relabeling through ThreadPool::parallel_for; under

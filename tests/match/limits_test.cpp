@@ -16,20 +16,6 @@ namespace {
 
 using test::Cmos3;
 
-/// K parallel transistors between the same nets: maximally symmetric, so
-/// exhaustive Phase II has a factorial guess space — the adversarial input
-/// for deadline tests.
-Netlist parallel_bank(const Cmos3& c, std::size_t devices,
-                      const char* name, bool ports) {
-  Netlist net = c.netlist(name);
-  NetId n1 = net.add_net("n1"), n2 = net.add_net("n2"), g = net.add_net("g");
-  for (std::size_t i = 0; i < devices; ++i) net.add_device(c.nmos, {n1, g, n2});
-  if (ports) {
-    for (NetId p : {n1, n2, g}) net.mark_port(p);
-  }
-  return net;
-}
-
 TEST(Limits, ZeroGuessDepthRejectsSymmetricPatterns) {
   // The parallel pair needs one guess; with the guess budget at zero the
   // candidate is rejected cleanly.
@@ -57,13 +43,46 @@ TEST(Limits, ZeroGuessDepthRejectsSymmetricPatterns) {
 }
 
 TEST(Limits, TinyPassBudgetRejectsCleanly) {
+  // The cap's subject is the relabel search, so the forced-pin walk (which
+  // would settle every fulladder candidate without a pass) is off.
   cells::CellLibrary lib;
   Netlist pattern = lib.pattern("fulladder");
   gen::Generated host = gen::ripple_carry_adder(2);
   MatchOptions opts;
   opts.max_phase2_passes_per_candidate = 1;
+  opts.phase2_filter = Phase2Filter::kOff;
   SubgraphMatcher matcher(pattern, host.netlist, opts);
   EXPECT_EQ(matcher.find_all().count(), 0u);
+}
+
+TEST(Limits, WalkIsNotChargedToThePassCap) {
+  // The forced-pin walk settles nand2 candidates from their pins alone, so
+  // a one-pass cap that stops every relabel search leaves its answer whole.
+  cells::CellLibrary lib;
+  Netlist pattern = lib.pattern("nand2");
+  gen::Generated host = gen::logic_soup(200, 11);
+
+  SubgraphMatcher uncapped(pattern, host.netlist);
+  const MatchReport full = uncapped.find_all();
+  ASSERT_GT(full.count(), 0u);
+
+  MatchOptions capped;
+  capped.max_phase2_passes_per_candidate = 1;
+  SubgraphMatcher walked(pattern, host.netlist, capped);
+  const MatchReport walk = walked.find_all();
+  EXPECT_TRUE(walk.status.complete());
+  EXPECT_EQ(walk.phase2.passes, 0u);
+  ASSERT_EQ(walk.count(), full.count());
+  for (std::size_t i = 0; i < walk.count(); ++i) {
+    EXPECT_EQ(walk.instances[i].device_image, full.instances[i].device_image);
+    EXPECT_EQ(walk.instances[i].net_image, full.instances[i].net_image);
+  }
+
+  capped.phase2_filter = Phase2Filter::kOff;
+  SubgraphMatcher relabeled(pattern, host.netlist, capped);
+  const MatchReport none = relabeled.find_all();
+  EXPECT_EQ(none.count(), 0u);
+  EXPECT_EQ(none.status.outcome, RunOutcome::kTruncated);
 }
 
 TEST(Limits, PhaseOneRoundCapRespected) {
@@ -87,6 +106,7 @@ TEST(Limits, MatcherReusableAfterBudgetFailure) {
   Netlist pattern = lib.pattern("fulladder");
   MatchOptions tight;
   tight.max_phase2_passes_per_candidate = 1;
+  tight.phase2_filter = Phase2Filter::kOff;  // the cap binds the relabel search
   SubgraphMatcher bad(pattern, host.netlist, tight);
   EXPECT_EQ(bad.find_all().count(), 0u);
   SubgraphMatcher good(pattern, host.netlist);
@@ -97,8 +117,8 @@ TEST(Limits, TruncationIsReportedNotSilent) {
   // The zero-guess-depth rejection from above must be labeled: a capped
   // sweep is kTruncated with abandoned guesses on the books.
   Cmos3 c;
-  Netlist pattern = parallel_bank(c, 2, "pair", true);
-  Netlist host = parallel_bank(c, 2, "host", false);
+  Netlist pattern = c.parallel_bank(2, "pair", true);
+  Netlist host = c.parallel_bank(2, "host", false);
 
   MatchOptions opts;
   opts.max_guess_depth = 0;
@@ -122,8 +142,8 @@ TEST(Limits, DeadlineExpiryReturnsPromptlyWithOutcome) {
   // 100 ms deadline it must come back within a small multiple of that and
   // say the sweep was cut short.
   Cmos3 c;
-  Netlist pattern = parallel_bank(c, 6, "bank6", true);
-  Netlist host = parallel_bank(c, 40, "host", false);
+  Netlist pattern = c.parallel_bank(6, "bank6", true);
+  Netlist host = c.parallel_bank(40, "host", false);
 
   MatchOptions opts;
   opts.exhaustive = true;
@@ -147,8 +167,8 @@ TEST(Limits, DeadlineExpiryReturnsPromptlyWithOutcome) {
 
 TEST(Limits, PreCancelledTokenStopsBeforeSearching) {
   Cmos3 c;
-  Netlist pattern = parallel_bank(c, 6, "bank6", true);
-  Netlist host = parallel_bank(c, 40, "host", false);
+  Netlist pattern = c.parallel_bank(6, "bank6", true);
+  Netlist host = c.parallel_bank(40, "host", false);
 
   CancelToken token;
   token.request();
@@ -163,7 +183,7 @@ TEST(Limits, PreCancelledTokenStopsBeforeSearching) {
   // Resetting the token restores normal behaviour for the next run with
   // the same options — the budget holds no stale state.
   token.reset();
-  Netlist small_host = parallel_bank(c, 6, "host6", false);
+  Netlist small_host = c.parallel_bank(6, "host6", false);
   SubgraphMatcher again(pattern, small_host, opts);
   MatchReport ok = again.find_all();
   EXPECT_EQ(ok.status.outcome, RunOutcome::kComplete);

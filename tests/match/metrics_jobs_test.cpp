@@ -4,6 +4,7 @@
 // the same work regardless of lane count. Runs under the `concurrency` ctest
 // label so the TSan CI job covers lanes recording into one registry.
 #include "cells/cells.hpp"
+#include "extract/extract.hpp"
 #include "gen/generators.hpp"
 #include "gtest/gtest.h"
 #include "match/matcher.hpp"
@@ -57,6 +58,37 @@ TEST(MetricsJobs, DeterministicCountersIdenticalAcrossLaneCounts) {
     EXPECT_GT(span.count, 0u) << "span " << name;
     EXPECT_GE(span.seconds, 0.0) << "span " << name;
   }
+}
+
+TEST(MetricsJobs, ExtractGaugesIdenticalAcrossLaneCounts) {
+  // An extract sweep runs one matcher per cell and tier, and at jobs > 1
+  // the cells of a tier record from different lanes. Every gauge is a
+  // high-water mark over all of them, so the snapshot's gauges cannot
+  // depend on which lane matched which cell, or which matched last.
+  cells::CellLibrary lib;
+  std::vector<extract::LibraryCell> library;
+  for (const char* name : {"xor2", "aoi21", "nand3", "nand2", "nor2", "inv"}) {
+    library.push_back(extract::LibraryCell{name, lib.pattern(name)});
+  }
+  gen::Generated g = gen::logic_soup(300, 77);
+
+  auto gauges_at = [&](std::size_t jobs) {
+    obs::Metrics metrics;
+    extract::ExtractOptions options;
+    options.match.jobs = jobs;
+    options.match.metrics = &metrics;
+    extract::ExtractResult result =
+        extract::extract_gates(g.netlist, library, options);
+    EXPECT_TRUE(result.report.status.complete());
+    return metrics.collect().gauges;
+  };
+  const std::map<std::string, double> serial = gauges_at(1);
+  const std::map<std::string, double> parallel = gauges_at(4);
+  for (const char* name : {"csr.bytes", "csr.arena_bytes",
+                           "phase1.max_candidates", "phase2.max_guess_depth"}) {
+    EXPECT_EQ(serial.count(name), 1u) << "gauge " << name;
+  }
+  EXPECT_EQ(serial, parallel);
 }
 
 }  // namespace

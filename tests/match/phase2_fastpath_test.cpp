@@ -27,34 +27,13 @@ namespace {
 
 using test::Cmos3;
 
-/// Ring of `n` identical pass transistors sharing one gate net; ring nets
-/// named prefix+i. Fully symmetric — refinement alone can never finish.
-void add_ring(const Cmos3& c, Netlist& nl, int n, const std::string& prefix) {
-  NetId gate = nl.add_net(prefix + "gate");
-  std::vector<NetId> nodes;
-  for (int i = 0; i < n; ++i) {
-    nodes.push_back(nl.add_net(prefix + std::to_string(i)));
-  }
-  for (int i = 0; i < n; ++i) {
-    nl.add_device(c.nmos, {nodes[i], gate, nodes[(i + 1) % n]});
-  }
-}
-
-/// Closed ring pattern: every ring net internal, only the gate external.
-Netlist ring_pattern(const Cmos3& c, int n) {
-  Netlist nl = c.netlist("ring_p");
-  add_ring(c, nl, n, "r");
-  nl.mark_port(*nl.find_net("rgate"));
-  return nl;
-}
-
 /// Poisoned host: a fat 6-ring (extra transistor on f1), then a clean one.
 Netlist fat_ring_host(const Cmos3& c) {
   Netlist host = c.netlist("main");
-  add_ring(c, host, 6, "f");
+  c.ring(host, 6, "f");
   NetId qg = host.add_net("qg"), qd = host.add_net("qd");
   host.add_device(c.nmos, {*host.find_net("f1"), qg, qd});
-  add_ring(c, host, 6, "c");
+  c.ring(host, 6, "c");
   return host;
 }
 
@@ -81,7 +60,7 @@ MatchReport run(const Netlist& pattern, const Netlist& host,
 
 TEST(Phase2FastPath, FilterIdentityOnSymmetricRings) {
   Cmos3 c;
-  Netlist pattern = ring_pattern(c, 6);
+  Netlist pattern = c.ring_pattern(6);
   Netlist host = fat_ring_host(c);
   const MatchReport off = run(pattern, host, Phase2Filter::kOff);
   const MatchReport on = run(pattern, host, Phase2Filter::kOn);
@@ -167,9 +146,9 @@ TEST(Phase2FastPath, TwelveRingHostIsSignatureImmune) {
   // must be identical in both modes — the parity half of the soundness
   // contract.
   Cmos3 c;
-  Netlist pattern = ring_pattern(c, 6);
+  Netlist pattern = c.ring_pattern(6);
   Netlist host = c.netlist("main");
-  add_ring(c, host, 12, "h");
+  c.ring(host, 12, "h");
 
   const MatchReport report = run(pattern, host, Phase2Filter::kOn);
   EXPECT_EQ(report.count(), 0u);
@@ -283,7 +262,7 @@ TEST(Phase2FastPath, JobsIdentityOnGuessHeavyWorkloads) {
   // counter; reports must be identical at every --jobs value even on
   // workloads dominated by guessing.
   Cmos3 c;
-  Netlist pattern = ring_pattern(c, 6);
+  Netlist pattern = c.ring_pattern(6);
   Netlist host = fat_ring_host(c);
 
   const MatchReport serial = run(pattern, host, Phase2Filter::kOn, 1);

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "netlist/netlist.hpp"
 
@@ -59,6 +61,50 @@ struct Cmos3 {
       nl.mark_port(vdd);
       nl.mark_port(gnd);
     }
+    return nl;
+  }
+
+  /// `devices` parallel nmos between the same nets n1, g, n2 (Fig 5):
+  /// maximally symmetric, so exhaustive Phase II has a factorial guess
+  /// space. `ports` marks all three nets external.
+  [[nodiscard]] Netlist parallel_bank(std::size_t devices,
+                                      const std::string& name,
+                                      bool ports) const {
+    Netlist nl = netlist(name);
+    NetId n1 = nl.add_net("n1"), n2 = nl.add_net("n2"), g = nl.add_net("g");
+    for (std::size_t i = 0; i < devices; ++i) nl.add_device(nmos, {n1, g, n2});
+    if (ports) {
+      for (NetId p : {n1, n2, g}) nl.mark_port(p);
+    }
+    return nl;
+  }
+
+  /// Ring of `n` identical pass transistors sharing the gate net
+  /// prefix+"gate"; ring nets named prefix+i. Fully symmetric, so
+  /// refinement alone can never finish. `fat` hangs one extra device off
+  /// ring net 1: a decoy the match hypothesis fails only after a full
+  /// refinement.
+  void ring(Netlist& nl, int n, const std::string& prefix,
+            bool fat = false) const {
+    NetId gate = nl.add_net(prefix + "gate");
+    std::vector<NetId> nodes;
+    for (int i = 0; i < n; ++i) {
+      nodes.push_back(nl.add_net(prefix + std::to_string(i)));
+    }
+    for (int i = 0; i < n; ++i) {
+      nl.add_device(nmos, {nodes[i], gate, nodes[(i + 1) % n]});
+    }
+    if (fat) {
+      NetId qg = nl.add_net(prefix + "qg"), qd = nl.add_net(prefix + "qd");
+      nl.add_device(nmos, {nodes[1], qg, qd});
+    }
+  }
+
+  /// Closed ring pattern: every ring net internal, only the gate external.
+  [[nodiscard]] Netlist ring_pattern(int n) const {
+    Netlist nl = netlist("ring_p");
+    ring(nl, n, "r");
+    nl.mark_port(*nl.find_net("rgate"));
     return nl;
   }
 

@@ -34,9 +34,8 @@ TEST(MetricsConcurrency, CountersAreExactAcrossThreads) {
 }
 
 TEST(MetricsConcurrency, GaugesMergeByMaxAcrossShards) {
-  // The lower write happens-before the higher one, so the result is 9
-  // whether the two threads share a shard (last write wins within it) or
-  // not (max across shards).
+  // A gauge keeps the maximum of every write, so the result is 9 whether
+  // the two threads share a shard or not.
   Metrics m;
   m.gauge("high_water", 5.0);
   std::thread t([&m] { m.gauge("high_water", 9.0); });

@@ -20,13 +20,16 @@ TEST(Metrics, CountersAccumulate) {
   EXPECT_EQ(s.counter("absent"), 0u);
 }
 
-TEST(Metrics, GaugesLastWriteWinsWithinAThread) {
+TEST(Metrics, GaugesKeepTheHighWaterMarkWithinAThread) {
   Metrics m;
   m.gauge("depth", 3.0);
-  m.gauge("depth", 1.0);  // same thread = same shard: last write wins
+  m.gauge("depth", 1.0);  // same thread = same shard: a lower write is kept out
+  m.gauge("width", 1.0);
+  m.gauge("width", 4.0);  // a higher one raises the mark
   Snapshot s = m.collect();
   ASSERT_EQ(s.gauges.count("depth"), 1u);
-  EXPECT_DOUBLE_EQ(s.gauges.at("depth"), 1.0);
+  EXPECT_DOUBLE_EQ(s.gauges.at("depth"), 3.0);
+  EXPECT_DOUBLE_EQ(s.gauges.at("width"), 4.0);
 }
 
 TEST(Metrics, SpansSumCountAndSeconds) {

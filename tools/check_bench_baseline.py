@@ -41,6 +41,9 @@ GATED_KEYS = (
     "cache_hits", "cache_misses", "passes", "bindings", "guesses",
     "backtracks", "expansion_ops", "domain_prunes", "nogood_hits",
     "trail_undos",
+    # Forced-pin walk verdicts: candidates settled without relabeling, and
+    # walks that got stuck and fell back to the relabel search.
+    "walk_settled", "walk_fallbacks",
     # ECO patching counters (bench_eco patched rows only; absent elsewhere,
     # and None == None keeps non-ECO rows unaffected).
     "eco_patched_devices", "eco_patched_nets", "eco_renames",
