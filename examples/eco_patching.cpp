@@ -43,7 +43,7 @@ mn2 out n1 gnd gnd nmos
 )";
 
   // 1. One session owns everything repeated searches share: the circuit
-  //    graph, the Phase I label cache, and the host path labels.
+  //    graph, the Phase I label cache, and the host path-label memo.
   HostSession session = HostSession::build(spice::read_flat(deck));
   std::printf("host: %zu devices, %zu nets\n",
               session.netlist().device_count(), session.netlist().net_count());

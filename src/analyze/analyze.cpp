@@ -18,6 +18,15 @@ std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
   return s < a ? std::numeric_limits<std::uint64_t>::max() : s;
 }
 
+std::uint64_t sat_square(std::uint64_t a) {
+  return a >> 32 != 0 ? std::numeric_limits<std::uint64_t>::max() : a * a;
+}
+
+/// Fibonacci hash of a vertex; the caller masks it to the table size.
+std::size_t scatter(Vertex v) {
+  return static_cast<std::size_t>((v * 0x9E3779B97F4A7C15ull) >> 32);
+}
+
 // --- automorphism search ---------------------------------------------------
 
 /// Backtracking enumerator over WL-pruned candidate classes. Work is
@@ -188,14 +197,17 @@ class AutomorphismSearch {
 
 // --- path-label DP ---------------------------------------------------------
 
+/// The closed-walk counts of one anchor, written to out_counts[0..classes).
+/// A closed walk of walk_steps steps is a walk of half that length out to
+/// some vertex u and one back, and the walks back from u are the walks out
+/// to u reversed, so the count is the sum over u of W(u)², where W(u)
+/// counts the half-length walks from the anchor to u. Only the anchor's
+/// ball of radius walk_steps / 2 is visited. Values live in the scratch's
+/// ball-local slots and saturate; saturation is monotone, so a saturated
+/// count is exactly the saturated true count.
 void count_closed_walks(const CircuitGraph& g, const Netlist& netlist,
-                        std::size_t device_count, Side side,
-                        const AnalyzeOptions& options, Vertex anchor,
-                        std::uint64_t* out_counts,
-                        std::vector<std::uint64_t>& cur,
-                        std::vector<std::uint64_t>& nxt,
-                        std::vector<Vertex>& frontier,
-                        std::vector<Vertex>& next_frontier) {
+                        Side side, std::size_t walk_steps, Vertex anchor,
+                        std::uint64_t* out_counts, WalkScratch& ws) {
   const std::size_t classes = PathLabels::kTrackedDegrees.size();
   const auto net_allowed = [&](Vertex v, std::uint32_t d) {
     if (g.degree(v) != d) return false;
@@ -205,40 +217,44 @@ void count_closed_walks(const CircuitGraph& g, const Netlist& netlist,
       // same class is guaranteed. Host walks impose no such restriction —
       // the host count must upper-bound every possible image.
       if (g.is_special(v)) return false;
-      if (netlist.is_port(NetId(static_cast<std::uint32_t>(
-              v - device_count)))) {
-        return false;
-      }
+      if (netlist.is_port(g.net_of(v))) return false;
     }
     return true;
   };
 
+  ws.clear();
   for (std::size_t c = 0; c < classes; ++c) {
     const std::uint32_t d = PathLabels::kTrackedDegrees[c];
-    const bool anchor_is_net = anchor >= device_count;
-    if (anchor_is_net && !net_allowed(anchor, d)) {
+    if (g.is_net(anchor) && !net_allowed(anchor, d)) {
       out_counts[c] = 0;
       continue;
     }
-    frontier.clear();
-    frontier.push_back(anchor);
-    cur[anchor] = 1;
-    for (std::size_t step = 0; step < options.walk_steps; ++step) {
-      next_frontier.clear();
-      for (const Vertex v : frontier) {
-        const std::uint64_t val = cur[v];
-        for (const Vertex w : g.neighbors(v)) {
-          if (w >= device_count && !net_allowed(w, d)) continue;
-          if (nxt[w] == 0) next_frontier.push_back(w);
-          nxt[w] = sat_add(nxt[w], val);
+    const std::uint32_t home = ws.slot(anchor);
+    std::size_t p = 0;  // parity of the current step's values
+    ws.frontier.assign(1, home);
+    ws.value[p][home] = 1;
+    for (std::size_t step = 0; step < walk_steps / 2; ++step) {
+      ws.next.clear();
+      for (const std::uint32_t i : ws.frontier) {
+        const std::uint64_t val = ws.value[p][i];
+        for (const Vertex w : g.neighbors(ws.vertex[i])) {
+          if (g.is_net(w) && !net_allowed(w, d)) continue;
+          const std::uint32_t j = ws.slot(w);
+          std::uint64_t& acc = ws.value[p ^ 1][j];
+          if (acc == 0) ws.next.push_back(j);
+          acc = sat_add(acc, val);
         }
       }
-      for (const Vertex v : frontier) cur[v] = 0;
-      cur.swap(nxt);
-      frontier.swap(next_frontier);
+      for (const std::uint32_t i : ws.frontier) ws.value[p][i] = 0;
+      p ^= 1;
+      ws.frontier.swap(ws.next);
     }
-    out_counts[c] = cur[anchor];
-    for (const Vertex v : frontier) cur[v] = 0;
+    std::uint64_t closed = 0;
+    for (const std::uint32_t i : ws.frontier) {
+      closed = sat_add(closed, sat_square(ws.value[p][i]));
+      ws.value[p][i] = 0;
+    }
+    out_counts[c] = closed;
   }
 }
 
@@ -271,6 +287,42 @@ Orbits find_orbits(const CircuitGraph& g, const Netlist& netlist,
 
 // --- path labels -----------------------------------------------------------
 
+std::uint32_t WalkScratch::slot(Vertex v) {
+  if (2 * (vertex.size() + 1) > index_.size()) grow();
+  const std::size_t mask = index_.size() - 1;
+  std::size_t h = scatter(v) & mask;
+  while (index_[h] != 0) {
+    if (vertex[index_[h] - 1] == v) return index_[h] - 1;
+    h = (h + 1) & mask;
+  }
+  const auto s = static_cast<std::uint32_t>(vertex.size());
+  index_[h] = s + 1;
+  home_.push_back(static_cast<std::uint32_t>(h));
+  vertex.push_back(v);
+  value[0].push_back(0);
+  value[1].push_back(0);
+  return s;
+}
+
+void WalkScratch::grow() {
+  index_.assign(std::max<std::size_t>(64, 2 * index_.size()), 0);
+  const std::size_t mask = index_.size() - 1;
+  for (std::uint32_t s = 0; s < vertex.size(); ++s) {
+    std::size_t h = scatter(vertex[s]) & mask;
+    while (index_[h] != 0) h = (h + 1) & mask;
+    index_[h] = s + 1;
+    home_[s] = static_cast<std::uint32_t>(h);
+  }
+}
+
+void WalkScratch::clear() {
+  for (const std::uint32_t h : home_) index_[h] = 0;
+  home_.clear();
+  vertex.clear();
+  value[0].clear();
+  value[1].clear();
+}
+
 PathLabels build_path_labels(const CircuitGraph& g, const Netlist& netlist,
                              Side side, const AnalyzeOptions& options) {
   SUBG_CHECK_MSG(options.walk_steps % 2 == 0,
@@ -281,82 +333,47 @@ PathLabels build_path_labels(const CircuitGraph& g, const Netlist& netlist,
   out.walk_steps = options.walk_steps;
   out.vertex_count = n;
   out.counts.assign(n * classes, 0);
-  std::vector<std::uint64_t> cur(n, 0);
-  std::vector<std::uint64_t> nxt(n, 0);
-  std::vector<Vertex> frontier;
-  std::vector<Vertex> next_frontier;
+  WalkScratch scratch;
   for (Vertex v = 0; v < n; ++v) {
-    count_closed_walks(g, netlist, netlist.device_count(), side, options, v,
-                       out.counts.data() + v * classes, cur, nxt, frontier,
-                       next_frontier);
+    count_closed_walks(g, netlist, side, options.walk_steps, v,
+                       out.counts.data() + v * classes, scratch);
   }
   return out;
 }
 
+HostPathLabels::HostPathLabels(const CircuitGraph& host,
+                               const AnalyzeOptions& options)
+    : g_(&host),
+      walk_steps_(options.walk_steps),
+      counts_(std::make_unique_for_overwrite<std::uint64_t[]>(
+          host.vertex_count() * PathLabels::kTrackedDegrees.size())),
+      state_(std::make_unique<std::atomic<std::uint8_t>[]>(
+          host.vertex_count())) {
+  SUBG_CHECK_MSG(options.walk_steps % 2 == 0,
+                 "path-label walk length must be even (bipartite closure)");
+}
 
-PathLabels rebase_path_labels(const PathLabels& old_labels,
-                              const CircuitGraph& new_graph,
-                              const Netlist& netlist,
-                              const std::vector<Vertex>& new_to_old,
-                              const std::vector<Vertex>& dirty_seed,
-                              const AnalyzeOptions& options) {
-  SUBG_CHECK_MSG(old_labels.walk_steps == options.walk_steps,
-                 "path-label rebase with mismatched walk length");
-  const std::size_t n = new_graph.vertex_count();
-  const std::size_t classes = PathLabels::kTrackedDegrees.size();
-  PathLabels out;
-  out.walk_steps = options.walk_steps;
-  out.vertex_count = n;
-  out.counts.assign(n * classes, 0);
-
-  // The dirty cone: every anchor within walk_steps hops of a seed (its
-  // radius-L ball saw an edge/degree/flag change), plus fresh vertices.
-  std::vector<bool> dirty(n, false);
-  std::vector<Vertex> frontier;
-  for (Vertex v : dirty_seed) {
-    if (v < n && !dirty[v]) {
-      dirty[v] = true;
-      frontier.push_back(v);
+HostPathLabels::Counts HostPathLabels::fill(Vertex g,
+                                            WalkScratch& scratch) const {
+  Counts out{};
+  count_closed_walks(*g_, g_->netlist(), Side::kHost, walk_steps_, g,
+                     out.data(), scratch);
+  std::uint8_t expected = kEmpty;
+  if (state_[g].compare_exchange_strong(expected, kFilling)) {
+    for (std::size_t c = 0; c < out.size(); ++c) {
+      counts_[g * out.size() + c] = out[c];
     }
-  }
-  for (Vertex v = 0; v < n; ++v) {
-    if (new_to_old[v] == kNoPredecessor && !dirty[v]) {
-      dirty[v] = true;
-      frontier.push_back(v);
-    }
-  }
-  std::vector<Vertex> next;
-  for (std::size_t hop = 0; hop < options.walk_steps && !frontier.empty();
-       ++hop) {
-    next.clear();
-    for (const Vertex v : frontier) {
-      for (const Vertex to : new_graph.neighbors(v)) {
-        if (!dirty[to]) {
-          dirty[to] = true;
-          next.push_back(to);
-        }
-      }
-    }
-    frontier.swap(next);
-  }
-
-  std::vector<std::uint64_t> cur(n, 0);
-  std::vector<std::uint64_t> nxt(n, 0);
-  std::vector<Vertex> walk_frontier;
-  std::vector<Vertex> walk_next;
-  for (Vertex v = 0; v < n; ++v) {
-    if (!dirty[v]) {
-      const Vertex old = new_to_old[v];
-      for (std::size_t c = 0; c < classes; ++c) {
-        out.counts[v * classes + c] = old_labels.counts[old * classes + c];
-      }
-      continue;
-    }
-    count_closed_walks(new_graph, netlist, netlist.device_count(), Side::kHost,
-                       options, v, out.counts.data() + v * classes, cur, nxt,
-                       walk_frontier, walk_next);
+    state_[g].store(kReady, std::memory_order_release);
   }
   return out;
+}
+
+std::size_t HostPathLabels::filled_count() const {
+  std::size_t n = 0;
+  for (std::size_t v = 0; v < vertex_count(); ++v) {
+    if (state_[v].load(std::memory_order_acquire) == kReady) ++n;
+  }
+  return n;
 }
 
 // --- infeasibility certificates --------------------------------------------

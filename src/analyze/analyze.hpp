@@ -13,15 +13,18 @@
 //     sound because the matcher-level device-set dedup collapses exactly
 //     those copies anyway.
 //
-//  2. Supplemental path labels (build_path_labels). Per vertex, the number
-//     of closed walks of length `walk_steps` whose net vertices all have
-//     degree exactly d, for each tracked degree class d — the
-//     path-at-a-time idea (Hassaan & Gouda) specialized to the bipartite
-//     circuit graph. Pattern-side walks are restricted to internal
-//     non-global nets, whose host images are induced (exactly equal
-//     degree, final verification enforces it); an injective embedding maps
-//     every such pattern walk to a distinct host walk in the same degree
-//     class, so pattern_count > host_count refutes the candidate pair.
+//  2. Supplemental path labels (build_path_labels, HostPathLabels). Per
+//     vertex, the number of closed walks of length `walk_steps` whose net
+//     vertices all have degree exactly d, for each tracked degree class d
+//     — the path-at-a-time idea (Hassaan & Gouda) specialized to the
+//     bipartite circuit graph. Patterns are counted eagerly; a host is
+//     counted per anchor on the first query (HostPathLabels), so only the
+//     anchors Phase II consults are paid for. Pattern-side walks are
+//     restricted to internal non-global nets, whose host images are
+//     induced (exactly equal degree, final verification enforces it); an
+//     injective embedding maps every such pattern walk to a distinct host
+//     walk in the same degree class, so pattern_count > host_count
+//     refutes the candidate pair.
 //     This kills decoy families the degree-sequence signature cannot see:
 //     a 6-ring pattern has closed 12-walks that wrap the ring twice, a
 //     12-ring host does not, even though every degree multiset agrees.
@@ -39,8 +42,10 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -126,18 +131,97 @@ enum class Side { kPattern, kHost };
                                            const Netlist& netlist, Side side,
                                            const AnalyzeOptions& options = {});
 
-/// Rebase host labels after an ECO patch: anchors whose radius-walk_steps
-/// ball cannot have changed copy their old count through the pedigree;
-/// anchors inside the dirty cone (within walk_steps hops of any dirty
-/// seed, plus fresh vertices) are recomputed on the new graph. The result
-/// is bit-identical to a cold build_path_labels over the new graph.
-/// new_to_old[v] = old vertex of new vertex v, or kNoPredecessor (fresh).
-[[nodiscard]] PathLabels rebase_path_labels(
-    const PathLabels& old_labels, const CircuitGraph& new_graph,
-    const Netlist& netlist, const std::vector<Vertex>& new_to_old,
-    const std::vector<Vertex>& dirty_seed, const AnalyzeOptions& options = {});
+/// Scratch for one anchor's closed-walk DP. The vertices the anchor's walks
+/// reach get dense slots through a small open-addressing index, so the
+/// scratch grows with the largest ball counted so far, never with the host.
+/// Reusable across anchors and graphs; one per thread.
+class WalkScratch {
+ public:
+  /// Dense slot of v, added with zero DP values on first sight.
+  std::uint32_t slot(Vertex v);
+  /// Forget every slot, in time proportional to the slots in use.
+  void clear();
 
-inline constexpr Vertex kNoPredecessor = 0xFFFFFFFFu;
+  /// slot → vertex, and the DP values of each slot by step parity.
+  std::vector<Vertex> vertex;
+  std::array<std::vector<std::uint64_t>, 2> value;
+  /// Slots holding a nonzero value at the current and the next step.
+  std::vector<std::uint32_t> frontier;
+  std::vector<std::uint32_t> next;
+
+ private:
+  void grow();
+  /// Open-addressing index: slot + 1, 0 = empty; home_[slot] = position.
+  std::vector<std::uint32_t> index_;
+  std::vector<std::uint32_t> home_;
+};
+
+/// Host path labels, counted per anchor on its first query: the
+/// path-at-a-time filter paid only where Phase II consults it. Every vertex
+/// has a dense count slot and a state byte. The first query of an anchor
+/// runs the DP build_path_labels runs, in the caller's scratch; the thread
+/// that claims the slot writes it and publishes it with a release store,
+/// and later queries read it after an acquire load. A thread that loses
+/// the claim keeps its own, identical, result. A count depends only on the
+/// graph, so --jobs lanes, extract tiers and serve workers share one memo,
+/// and an edited host gets a fresh, empty one.
+class HostPathLabels {
+ public:
+  using Counts = std::array<std::uint64_t, PathLabels::kTrackedDegrees.size()>;
+
+  /// An empty memo over `host`, which must outlive it. Counts nothing.
+  explicit HostPathLabels(const CircuitGraph& host,
+                          const AnalyzeOptions& options = {});
+
+  [[nodiscard]] const CircuitGraph& graph() const { return *g_; }
+  [[nodiscard]] std::size_t vertex_count() const {
+    return g_->vertex_count();
+  }
+
+  /// Anchor g's counts, equal to build_path_labels(kHost).count(g, ·);
+  /// counted on the first query. Safe to call from many threads.
+  [[nodiscard]] Counts counts(Vertex g, WalkScratch& scratch) const {
+    if (state_[g].load(std::memory_order_acquire) == kReady) {
+      Counts out{};
+      for (std::size_t c = 0; c < out.size(); ++c) {
+        out[c] = counts_[g * out.size() + c];
+      }
+      return out;
+    }
+    return fill(g, scratch);
+  }
+
+  /// PathLabels::refutes against this memo. A pattern vertex with no walk
+  /// in any class refutes nothing, so g is read (and counted) only when s
+  /// has one.
+  [[nodiscard]] bool refutes(const PathLabels& pattern, Vertex s, Vertex g,
+                             WalkScratch& scratch) const {
+    const std::size_t n = PathLabels::kTrackedDegrees.size();
+    const std::uint64_t* want = pattern.counts.data() + s * n;
+    bool any = false;
+    for (std::size_t c = 0; c < n; ++c) any |= want[c] != 0;
+    if (!any) return false;
+    const Counts have = counts(g, scratch);
+    for (std::size_t c = 0; c < n; ++c) {
+      if (want[c] > have[c]) return true;
+    }
+    return false;
+  }
+
+  /// Anchors counted and published so far.
+  [[nodiscard]] std::size_t filled_count() const;
+
+ private:
+  enum : std::uint8_t { kEmpty, kFilling, kReady };
+
+  [[nodiscard]] Counts fill(Vertex g, WalkScratch& scratch) const;
+
+  const CircuitGraph* g_;
+  std::size_t walk_steps_;
+  /// counts_[v * classes + c]; written once, by the claiming thread.
+  std::unique_ptr<std::uint64_t[]> counts_;
+  std::unique_ptr<std::atomic<std::uint8_t>[]> state_;
+};
 
 // --- layer 3: infeasibility certificates -----------------------------------
 

@@ -139,6 +139,15 @@ Netlist clone_netlist(const Netlist& source,
 ExtractResult extract_gates(const Netlist& transistors,
                             const std::vector<LibraryCell>& cells,
                             const ExtractOptions& options) {
+  // Every cell is checked before any is matched, so a bad library fails
+  // the same way at every --jobs, naming the cell.
+  for (const LibraryCell& cell : cells) {
+    try {
+      SubgraphMatcher::check_pattern(CircuitGraph(cell.pattern));
+    } catch (const Error& e) {
+      throw Error("library cell '" + cell.name + "': " + e.what());
+    }
+  }
   auto catalog = extended_catalog(transistors.catalog(), cells);
 
   // Processing order: the subcircuit partial order approximated by
@@ -230,12 +239,13 @@ ExtractResult extract_gates(const Netlist& transistors,
     }
     const std::size_t tier_size = tier_end - oi;
 
-    // One session snapshot (graph + label cache + path labels) shared by
-    // every match in the tier.
+    // One session snapshot (graph + label cache + path-label memo) shared
+    // by every match in the tier. It borrows the working netlist and hands
+    // it back once the tier's matches are done.
     obs::Metrics::SpanTimer tier_span(metrics, "extract.tier");
     obs::count(metrics, "extract.tiers");
     obs::count(metrics, "extract.cells_attempted", tier_size);
-    HostSession tier_session = HostSession::build(working);
+    HostSession tier_session = HostSession::build(std::move(working));
     struct CellMatch {
       MatchReport report;
       double seconds = 0;
@@ -261,6 +271,10 @@ ExtractResult extract_gates(const Netlist& transistors,
     } else {
       for (std::size_t ti = 0; ti < tier_size; ++ti) run_cell(ti);
     }
+    // The tier's shared label cache dies here; fold its reuse totals in
+    // (matches in the tier skip recording for caller-shared caches).
+    record_cache_stats(metrics, tier_session.cache().stats());
+    working = std::move(tier_session).take_netlist();
 
     // Apply replacements serially in cell order. Device ids in every
     // instance refer to the tier-start snapshot, so victims accumulate
@@ -310,9 +324,6 @@ ExtractResult extract_gates(const Netlist& transistors,
       SUBG_DEBUG("extract: " << cell->name << " x" << per.instances);
     }
     working.remove_devices(victims);
-    // The tier's shared label cache dies here; fold its reuse totals in
-    // (matches in the tier skip recording for caller-shared caches).
-    record_cache_stats(metrics, tier_session.cache().stats());
     oi = tier_end;
   }
 

@@ -13,13 +13,12 @@
 
 namespace subg {
 
-namespace {
-/// Pattern must be connected when global rails are allowed as connectors:
-/// Phase II refinement spreads along edges (crossing rails only via the
-/// guess fallback), so an island with no rail anchor could never be placed.
-void check_pattern_connected(const CircuitGraph& s) {
+void SubgraphMatcher::check_pattern(const CircuitGraph& s) {
+  if (s.device_count() == 0) throw Error("pattern netlist has no devices");
+  // Pattern must be connected when global rails are allowed as connectors:
+  // Phase II refinement spreads along edges (crossing rails only via the
+  // guess fallback), so an island with no rail anchor could never be placed.
   const std::size_t nv = s.vertex_count();
-  if (nv == 0) return;
   std::vector<bool> seen(nv, false);
   std::vector<Vertex> stack;
   // Start from any device (patterns always have one).
@@ -36,15 +35,18 @@ void check_pattern_connected(const CircuitGraph& s) {
     }
   }
   for (Vertex v = 0; v < nv; ++v) {
-    // Unconnected special rails declared but unused are harmless.
-    if (!seen[v] && !(s.is_net(v) && s.degree(v) == 0)) {
-      SUBG_CHECK_MSG(false, "pattern netlist is disconnected at "
-                                << s.vertex_name(v)
-                                << "; split it into connected patterns");
+    // A declared but unused global rail is harmless: rails bind by name.
+    // Any other net needs a pin, or no instance could ever bind it.
+    if (seen[v] || s.is_special(v)) continue;
+    if (s.degree(v) == 0) {
+      throw Error("pattern net '" + s.netlist().net_name(s.net_of(v)) +
+                  "' connects to no device, so no instance can bind it; "
+                  "remove the net or declare it global");
     }
+    throw Error("pattern netlist is disconnected at " + s.vertex_name(v) +
+                "; split it into connected patterns");
   }
 }
-}  // namespace
 
 void SubgraphMatcher::check_catalog_compatibility(const Netlist& pattern,
                                                   const Netlist& host) {
@@ -112,13 +114,12 @@ void SubgraphMatcher::ensure_path_labels() {
   }
   if (host_paths_ == nullptr) {
     if (options_.host_path_labels != nullptr) {
-      SUBG_CHECK_MSG(options_.host_path_labels->vertex_count ==
+      SUBG_CHECK_MSG(options_.host_path_labels->vertex_count() ==
                          host_graph_->vertex_count(),
                      "external host path labels cover a different host");
       host_paths_ = options_.host_path_labels;
     } else {
-      owned_host_paths_ = analyze::build_path_labels(
-          *host_graph_, host_, analyze::Side::kHost, defaults);
+      owned_host_paths_.emplace(*host_graph_, defaults);
       host_paths_ = &*owned_host_paths_;
     }
   }
@@ -131,9 +132,8 @@ void SubgraphMatcher::ensure_orbits() {
 }
 
 void SubgraphMatcher::validate_inputs() const {
-  SUBG_CHECK_MSG(pattern_.device_count() > 0, "pattern netlist has no devices");
+  check_pattern(pattern_graph_);
   check_catalog_compatibility(pattern_, host_);
-  check_pattern_connected(pattern_graph_);
 }
 
 MatchReport SubgraphMatcher::run(std::size_t limit) {

@@ -64,11 +64,11 @@ struct MatchOptions {
   /// enumeration copies (Phase2Stats::symmetry_skips). Off reproduces the
   /// pre-analyzer pipeline byte for byte.
   bool analyze = true;
-  /// Optional externally owned host path labels (HostSession shares one
-  /// set across matches and rebases it through ECO patches). Must have
-  /// been built over THIS host with default AnalyzeOptions; only consulted
-  /// when phase2_filter == kPaths. Null = the matcher builds its own.
-  const analyze::PathLabels* host_path_labels = nullptr;
+  /// Optional externally owned host path-label memo (HostSession shares
+  /// one across matches and starts a fresh one after an ECO patch). Must
+  /// cover THIS host with default AnalyzeOptions; only consulted when
+  /// phase2_filter == kPaths. Null = the matcher keeps its own.
+  const analyze::HostPathLabels* host_path_labels = nullptr;
   /// Seed for the fixed labels Phase II assigns to matched pairs.
   std::uint64_t seed = 0x53554247454D494EULL;
   /// Wall-clock / cancellation envelope for the WHOLE run: threaded through
@@ -128,10 +128,9 @@ struct MatchReport {
 class SubgraphMatcher {
  public:
   /// Both netlists must outlive the matcher and stay unmodified while it is
-  /// in use. Throws subg::Error when the pattern is empty, when it is
-  /// disconnected (counting global rails as connectors), when the two
-  /// catalogs disagree on the pin structure of a shared device type, or
-  /// when a graph overflows the CSR offset width.
+  /// in use. Throws subg::Error when check_pattern rejects the pattern,
+  /// when the two catalogs disagree on the pin structure of a shared device
+  /// type, or when a graph overflows the CSR offset width.
   SubgraphMatcher(const Netlist& pattern, const Netlist& host,
                   MatchOptions options = {});
 
@@ -155,6 +154,11 @@ class SubgraphMatcher {
   static void check_catalog_compatibility(const Netlist& pattern,
                                           const Netlist& host);
 
+  /// Throws subg::Error, naming the offending vertex, when the pattern has
+  /// no devices, is disconnected (global rails count as connectors), or has
+  /// a net other than a global rail that no device touches.
+  static void check_pattern(const CircuitGraph& pattern);
+
  private:
   MatchReport run(std::size_t limit);
   void validate_inputs() const;
@@ -162,9 +166,9 @@ class SubgraphMatcher {
   /// graphs built here ("csr.build_seconds") against the metrics sink.
   void record_graph_metrics() const;
   /// Lazily build the analyzer artifacts a run() needs: the feasibility
-  /// certificate (options_.analyze), path labels for both sides (kPaths),
-  /// pattern orbits (exhaustive, unlimited). Each is computed at most once
-  /// per matcher and reused across runs.
+  /// certificate (options_.analyze), the pattern's path labels and a host
+  /// path-label memo (kPaths), pattern orbits (exhaustive, unlimited). Each
+  /// is built at most once per matcher and reused across runs.
   void ensure_certificate();
   void ensure_path_labels();
   void ensure_orbits();
@@ -179,8 +183,8 @@ class SubgraphMatcher {
   bool certificate_checked_ = false;
   std::optional<analyze::Certificate> infeasibility_;
   std::optional<analyze::PathLabels> pattern_paths_;
-  std::optional<analyze::PathLabels> owned_host_paths_;
-  const analyze::PathLabels* host_paths_ = nullptr;
+  std::optional<analyze::HostPathLabels> owned_host_paths_;
+  const analyze::HostPathLabels* host_paths_ = nullptr;
   std::optional<analyze::Orbits> pattern_orbits_;
 };
 

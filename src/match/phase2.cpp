@@ -344,8 +344,8 @@ bool Phase2Verifier::signature_ok(Vertex s, Vertex g) {
     ++stats_.domain_prunes;
   } else if (options_.pattern_paths != nullptr &&
              options_.host_paths != nullptr &&
-             analyze::PathLabels::refutes(*options_.pattern_paths, s,
-                                          *options_.host_paths, g)) {
+             options_.host_paths->refutes(*options_.pattern_paths, s, g,
+                                          path_scratch_)) {
     // Supplemental path-label refuter: the pattern anchor owns more closed
     // walks through some tracked net-degree class than the host vertex can
     // supply, so no embedding maps s onto g (analyze.hpp proves soundness).

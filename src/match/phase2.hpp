@@ -100,14 +100,14 @@ struct Phase2Options {
   bool signature_filter = true;
   /// Supplemental path-label refuter (--phase2-filter=paths). When both
   /// pointers are set, signature_ok additionally compares the closed-walk
-  /// counts (analyze::PathLabels::refutes) and rejects pairs the degree
+  /// counts (analyze::HostPathLabels::refutes) and rejects pairs the degree
   /// signature cannot tell apart. Sound by the same argument as the
   /// signature filter: a refuted pair can never complete, so instances and
   /// statuses are unchanged; Phase2Stats::path_label_prunes counts the
-  /// extra rejections. Both must be built with equal walk_steps over
-  /// exactly these two graphs.
+  /// extra rejections. Both must use equal walk_steps over exactly these
+  /// two graphs; the host memo counts each anchor on its first query.
   const analyze::PathLabels* pattern_paths = nullptr;
-  const analyze::PathLabels* host_paths = nullptr;
+  const analyze::HostPathLabels* host_paths = nullptr;
   /// Pattern automorphism group for exhaustive enumeration. When set (and
   /// symmetry_dedup), enumerate() suppresses a completion if applying any
   /// automorphism to it yields a mapping already recorded for this
@@ -374,6 +374,8 @@ class Phase2Verifier {
   /// types).
   std::vector<std::uint32_t> degree_rem_scratch_;
   std::vector<Label> host_label_scratch_;
+  /// Ball-local scratch for the host path labels this lane counts.
+  analyze::WalkScratch path_scratch_;
   std::vector<PinProfile> profile_;
   RunStatus status_;
   bool globals_resolved_ = true;

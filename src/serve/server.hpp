@@ -1,10 +1,12 @@
 // The subgemini match server: load hosts once, answer many requests.
 //
 // A library sweep or an interactive front end pays the host-side setup
-// (parse, CircuitGraph, Phase I label rounds, path labels) once per host,
-// not once per query: the daemon keeps each loaded host's HostSession
-// warm, and every `find` against it reuses the session's graph, label
-// cache and path labels (HostSession::configure).
+// (parse, CircuitGraph, Phase I label rounds) once per host, not once per
+// query: the daemon keeps each loaded host's HostSession warm, and every
+// `find` against it reuses the session's graph, label cache and path-label
+// memo (HostSession::configure). The memo counts each host anchor the
+// first time a find consults it, so the early requests of a warm daemon
+// fill it and later ones only read it.
 //
 // Robustness model (the reason this is a subsystem and not a loop):
 //
@@ -117,9 +119,9 @@ class Server {
 
  private:
   /// Everything kept warm for one loaded host: a HostSession (netlist +
-  /// graph + label cache + path labels, session/session.hpp). Reads (find,
-  /// extract, lint, status) take the session lock shared; `patch` takes it
-  /// exclusive while it rebases the session in place. Concurrent requests
+  /// graph + label cache + path-label memo, session/session.hpp). Reads
+  /// (find, extract, lint, status) take the session lock shared; `patch`
+  /// takes it exclusive while it rebases the session in place. Concurrent requests
   /// share a context through shared_ptr, so a context is never destroyed
   /// under an in-flight request.
   struct HostContext {

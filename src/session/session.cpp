@@ -20,11 +20,10 @@ HostSession HostSession::build(Netlist netlist, SessionOptions options) {
         *session.graph_, {.target_devices = options.shard_target_devices,
                           .anchor_fanout = options.shard_anchor_fanout}));
   }
-  // Supplemental path labels, built once per session and shared by every
-  // match (configure() wires them into MatchOptions::host_path_labels).
-  session.paths_ = std::make_unique<analyze::PathLabels>(
-      analyze::build_path_labels(*session.graph_, *session.netlist_,
-                                 analyze::Side::kHost));
+  // Path-label memo, shared by every match (configure() wires it into
+  // MatchOptions::host_path_labels); Phase II counts each anchor on its
+  // first query, so a build counts nothing.
+  session.paths_ = std::make_unique<analyze::HostPathLabels>(*session.graph_);
   return session;
 }
 
@@ -98,13 +97,10 @@ ApplyStats HostSession::apply(const NetlistDelta& delta) {
   stats.renames = fx.rename_ops;
   auto new_cache = cache_->rebase(*new_graph, old_to_new, new_to_old,
                                   dirty_seed, &stats.invalidated_labels);
-  // Path-label rebase rides the same pedigree and dirty seeds: every
-  // changed edge is incident to a touched net or a fresh vertex, so the
-  // radius-walk_steps cone around the seeds covers every anchor whose
-  // closed-walk ball saw the edit; the rest copy through new_to_old.
-  auto new_paths = std::make_unique<analyze::PathLabels>(
-      analyze::rebase_path_labels(*paths_, *new_graph, *new_netlist,
-                                  new_to_old, dirty_seed));
+  // A path-label count depends only on the graph it belongs to, so the
+  // edited graph gets a fresh, empty memo: nothing is carried over, and
+  // nothing can go stale.
+  auto new_paths = std::make_unique<analyze::HostPathLabels>(*new_graph);
   // The shard plan rebuilds cold over the edited graph (a pure function of
   // it, so a patched session's plan equals a cold build's by construction);
   // like every other fallible step it runs before the commit point.
@@ -123,16 +119,6 @@ ApplyStats HostSession::apply(const NetlistDelta& delta) {
   paths_ = std::move(new_paths);
   shards_ = std::move(new_shards);
   ++patch_count_;
-  if constexpr (kAuditEnabled) {
-    // A19 — path-label rebase fidelity: dirty-cone recompute + pedigree
-    // copy must be bit-identical to a cold build over the edited host.
-    const analyze::PathLabels cold_paths =
-        analyze::build_path_labels(*graph_, *netlist_, analyze::Side::kHost);
-    SUBG_AUDIT_MSG(paths_->counts == cold_paths.counts &&
-                       paths_->vertex_count == cold_paths.vertex_count,
-                   "session audit (A19): rebased path labels diverged from "
-                   "a cold rebuild of the edited host");
-  }
   totals_.patched_devices += stats.patched_devices;
   totals_.patched_nets += stats.patched_nets;
   totals_.renames += stats.renames;

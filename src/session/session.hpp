@@ -1,16 +1,18 @@
-// HostSession — the owned handle for a loaded host (ISSUE 8 / ROADMAP
-// "incremental ECO matching").
+// HostSession — the owned handle for a loaded host.
 //
 // Everything the matcher shares across repeated searches of one host —
-// the CircuitGraph and the HostLabelCache of Phase I label sequences —
-// used to be built ad hoc by
-// every consumer (CLI one-shot, serve `load`, extract per-tier, bench
-// mains). A HostSession owns the whole bundle:
+// the CircuitGraph, the HostLabelCache of Phase I label sequences and the
+// path-label memo — used to be built ad hoc by every consumer (CLI
+// one-shot, serve `load`, extract per-tier, bench mains). A HostSession
+// owns the whole bundle:
 //
 //   HostSession session = HostSession::build(netlist);
 //   MatchReport r = find_in_session(pattern, session, options);
 //   session.apply(parse_delta(delta_text));   // ECO edit, dirty-cone labels
 //   MatchReport r2 = find_in_session(pattern, session, options);
+//
+// A build counts no path labels: Phase II counts each host anchor on its
+// first query and the session's memo keeps the count for later matches.
 //
 // apply() is ATOMIC (apply-or-rollback): every fallible step — delta
 // application, graph rebuild, capacity check, cache rebase — runs on
@@ -23,12 +25,15 @@
 // reports/traces/JSON to a cold HostSession::build over the edited
 // netlist, at every --jobs. Under SUBG_AUDIT this is enforced structurally
 // on every apply (A18: rebased label rounds equal a cold recompute — see
-// HostLabelCache::rebase; A19: rebased path labels equal a cold build).
+// HostLabelCache::rebase). The path-label memo needs no such check: a
+// patch starts a fresh one over the edited graph, exactly as a cold build
+// does.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "analyze/analyze.hpp"
 #include "graph/circuit_graph.hpp"
@@ -83,8 +88,9 @@ class HostSession {
 
   /// Apply an ECO delta atomically. Throws subg::Error (delta inapplicable,
   /// "delta line N: ..." messages) or fault::InjectedFault ("session.patch")
-  /// with the session unchanged. On success the graph/cache/path labels
-  /// are rebased and the per-patch stats returned.
+  /// with the session unchanged. On success the graph is rebuilt, the label
+  /// cache rebased, the path-label memo started afresh, and the per-patch
+  /// stats returned.
   ApplyStats apply(const NetlistDelta& delta);
 
   /// Wire this session's shared host structures into match options:
@@ -98,14 +104,16 @@ class HostSession {
   [[nodiscard]] const Netlist& netlist() const { return *netlist_; }
   [[nodiscard]] const CircuitGraph& graph() const { return *graph_; }
   [[nodiscard]] HostLabelCache& cache() { return *cache_; }
-  /// Session-owned supplemental path labels over the host (src/analyze),
-  /// shared across matches via configure() and REBASED through apply() —
-  /// only anchors inside the patch's dirty cone recompute, the rest copy
-  /// through the vertex pedigree (audit A19 pins the rebase against a cold
-  /// rebuild).
-  [[nodiscard]] const analyze::PathLabels& path_labels() const {
+  /// Session-owned path-label memo over the host (src/analyze), shared
+  /// across matches via configure(); each anchor is counted on its first
+  /// query. apply() replaces it with an empty memo over the edited graph.
+  [[nodiscard]] const analyze::HostPathLabels& path_labels() const {
     return *paths_;
   }
+  /// End the session and hand its netlist back (the graph, cache and memo
+  /// point into it and die with the session). The extract sweep lends its
+  /// working netlist to one session per size tier this way, without a copy.
+  [[nodiscard]] Netlist take_netlist() && { return std::move(*netlist_); }
   /// Null unless SessionOptions::shard_target_devices > 0. Rebuilt cold on
   /// every apply() (the plan is a pure function of the patched graph, so a
   /// patched session's shards equal a cold build's).
@@ -125,7 +133,7 @@ class HostSession {
   std::unique_ptr<CircuitGraph> graph_;
   std::unique_ptr<ShardPlan> shards_;
   std::unique_ptr<HostLabelCache> cache_;
-  std::unique_ptr<analyze::PathLabels> paths_;
+  std::unique_ptr<analyze::HostPathLabels> paths_;
   std::uint64_t patch_count_ = 0;
   ApplyStats totals_;
 };

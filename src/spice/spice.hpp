@@ -23,7 +23,9 @@
 // The writer emits .GLOBAL, .SUBCKT (for netlists with ports), M/R/C/D
 // cards for the standard types and X cards for any other device type —
 // which the reader maps back to catalog types, so gate-level netlists
-// round-trip.
+// round-trip. A net is named only by those cards, so the writer omits
+// every net that has no pin and is neither a port nor global: the reparse
+// lacks exactly those nets.
 #pragma once
 
 #include <iosfwd>

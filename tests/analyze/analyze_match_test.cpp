@@ -335,13 +335,28 @@ TEST(AnalyzeMatch, PatchedSessionLabelsAndReportsMatchColdBuild) {
   const Netlist pattern = lib.pattern("nand2");
 
   HostSession session = HostSession::build(g.netlist);
+  (void)find_in_session(pattern, session);  // counts anchors before the patch
   (void)session.apply(parse_delta(kNandDelta));
 
-  // The rebased labels must be bit-identical to a cold build over the
-  // patched netlist (audit A19's contract, restated at the API surface).
+  // The patch starts an empty memo over the edited graph; every count it
+  // fills equals a cold eager build over the patched netlist, vertex by
+  // vertex.
+  const analyze::HostPathLabels& memo = session.path_labels();
+  EXPECT_EQ(&memo.graph(), &session.graph());
+  EXPECT_EQ(memo.filled_count(), 0u);
+  const CircuitGraph cold_graph(session.netlist());
+  const analyze::PathLabels cold_labels = analyze::build_path_labels(
+      cold_graph, session.netlist(), analyze::Side::kHost);
+  ASSERT_EQ(memo.vertex_count(), cold_graph.vertex_count());
+  analyze::WalkScratch scratch;
+  for (Vertex v = 0; v < cold_graph.vertex_count(); ++v) {
+    const analyze::HostPathLabels::Counts counts = memo.counts(v, scratch);
+    for (std::size_t c = 0; c < counts.size(); ++c) {
+      ASSERT_EQ(counts[c], cold_labels.count(v, c))
+          << cold_graph.vertex_name(v) << " class " << c;
+    }
+  }
   HostSession cold = HostSession::build(session.netlist());
-  EXPECT_EQ(session.path_labels().walk_steps, cold.path_labels().walk_steps);
-  EXPECT_EQ(session.path_labels().counts, cold.path_labels().counts);
 
   // ... and so must everything a find reports, new counters included
   // (kPaths and the certificate check are the defaults here).

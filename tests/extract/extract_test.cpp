@@ -216,5 +216,29 @@ TEST(Extract, UnmatchedPrimitivesSurvive) {
   EXPECT_TRUE(result.netlist.find_device("pass1").has_value());
 }
 
+TEST(Extract, CellWithPinlessPortFailsNamingTheCell) {
+  // An inverter cell with an extra port no device touches could never be
+  // placed; the sweep refuses the library up front, at every --jobs.
+  CellLibrary lib;
+  std::vector<LibraryCell> cells = make_library({"nand2"});
+  Netlist odd = lib.pattern("inv");
+  odd.mark_port(odd.add_net("unused"));
+  cells.push_back(LibraryCell{"inv_unused", odd});
+  const gen::Generated host = gen::logic_soup(40, 2);
+  for (const std::size_t jobs : {1u, 4u}) {
+    ExtractOptions options;
+    options.match.jobs = jobs;
+    std::string what;
+    try {
+      (void)extract_gates(host.netlist, cells, options);
+    } catch (const Error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("library cell 'inv_unused'"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("pattern net 'unused'"), std::string::npos) << what;
+  }
+}
+
 }  // namespace
 }  // namespace subg::extract

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "cells/cells.hpp"
 #include "match/matcher.hpp"
@@ -151,6 +152,58 @@ TEST(Matcher, DisconnectedPatternThrows) {
   NetId ha = host.add_net("a"), hy = host.add_net("y"), hg = host.add_net("g");
   host.add_device(c.nmos, {hy, ha, hg});
   EXPECT_THROW(SubgraphMatcher(pattern, host), Error);
+}
+
+/// The message of the subg::Error `make` throws, or "" when it throws none.
+template <typename F>
+std::string error_of(F make) {
+  try {
+    make();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Two inverters in a row on global rails.
+Netlist inverter_pair(const Cmos3& c) {
+  Netlist host = c.netlist("host");
+  NetId vdd = host.add_net("vdd"), gnd = host.add_net("gnd");
+  host.mark_global(vdd);
+  host.mark_global(gnd);
+  NetId a = host.add_net("a"), m = host.add_net("m"), y = host.add_net("y");
+  c.inv(host, a, m, vdd, gnd);
+  c.inv(host, m, y, vdd, gnd);
+  return host;
+}
+
+TEST(Matcher, PatternPortWithNoPinThrowsNamingTheNet) {
+  // `.subckt cell a y unused` over an inverter: no device touches the port
+  // `unused`, so no instance could bind it. The pattern is refused at load
+  // instead of finding nothing in a run that claims to be complete.
+  Cmos3 c;
+  const Netlist host = inverter_pair(c);
+  Netlist pattern = c.inv_pattern(/*global_rails=*/true);
+  pattern.mark_port(pattern.add_net("unused"));
+  const std::string what =
+      error_of([&] { SubgraphMatcher matcher(pattern, host); });
+  EXPECT_NE(what.find("pattern net 'unused'"), std::string::npos) << what;
+
+  // A declared but unused global rail stays harmless: rails bind by name.
+  Netlist rails = c.inv_pattern(/*global_rails=*/true);
+  rails.mark_global(rails.add_net("vbias"));
+  EXPECT_EQ(SubgraphMatcher(rails, host).find_all().count(), 2u);
+}
+
+TEST(Matcher, FlatDeckWithPinlessInternalNetThrowsNamingTheNet) {
+  // A flattened deck with an internal net that lost its pins would find
+  // nothing in itself; it is refused, naming the net.
+  Cmos3 c;
+  Netlist deck = inverter_pair(c);
+  deck.add_net("orphan");
+  const std::string what =
+      error_of([&] { SubgraphMatcher matcher(deck, deck); });
+  EXPECT_NE(what.find("pattern net 'orphan'"), std::string::npos) << what;
 }
 
 TEST(Matcher, IncompatibleCatalogsThrow) {

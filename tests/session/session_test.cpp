@@ -48,7 +48,20 @@ TEST_F(SessionTest, BuildOwnsTheWholeBundle) {
   EXPECT_EQ(session.netlist().device_count(), g.netlist.device_count());
   EXPECT_EQ(&session.graph().netlist(), &session.netlist());
   EXPECT_EQ(&session.cache().host(), &session.graph());
-  EXPECT_EQ(session.path_labels().vertex_count, session.graph().vertex_count());
+  // The path-label memo covers the session's graph and counts nothing
+  // until a match asks; what it counts equals a cold eager build.
+  const analyze::HostPathLabels& memo = session.path_labels();
+  EXPECT_EQ(&memo.graph(), &session.graph());
+  EXPECT_EQ(memo.filled_count(), 0u);
+  const analyze::PathLabels eager = analyze::build_path_labels(
+      session.graph(), session.netlist(), analyze::Side::kHost);
+  analyze::WalkScratch scratch;
+  for (Vertex v = 0; v < session.graph().vertex_count(); ++v) {
+    const analyze::HostPathLabels::Counts counts = memo.counts(v, scratch);
+    for (std::size_t c = 0; c < counts.size(); ++c) {
+      ASSERT_EQ(counts[c], eager.count(v, c)) << "vertex " << v;
+    }
+  }
   EXPECT_EQ(session.shards(), nullptr);
   EXPECT_EQ(session.patch_count(), 0u);
   EXPECT_EQ(session.totals().patched_devices, 0u);

@@ -278,7 +278,7 @@ int cmd_find(const std::vector<std::string>& args) {
   Netlist pattern = load(args[0], g_opts.pattern_top);
 
   // The host lives in a session: one owned bundle of graph + label cache
-  // + path labels, patched by --delta instead of reparsed.
+  // + path-label memo, patched by --delta instead of reparsed.
   SessionOptions so;
   so.shard_target_devices = g_opts.shard_target_devices;
   HostSession session = HostSession::build(load(args[1], g_opts.top), so);
